@@ -23,12 +23,13 @@ from scipy.fft import next_fast_len
 from .core import (
     CalibrationError,
     CovarianceSequence,
+    DegenerateSampleError,
     MomentSource,
     NullMoments,
     RngStream,
     TimeSeriesSample,
 )
-from .kurtosis import _mardia_values
+from .kurtosis import _DEGENERATE_MESSAGE, _mardia_batch
 
 __all__ = [
     "CalibrationBudget",
@@ -208,7 +209,10 @@ def calibrate_null(
         rng = budget.seed.substream(chunk_index)
         batch = simulate_gaussian_batch(surrogate, rng, take)
         if statistic is None:
-            values[done : done + take] = _mardia_values(batch)
+            batch_values, ok = _mardia_batch(batch)
+            if not np.all(ok):
+                raise DegenerateSampleError(_DEGENERATE_MESSAGE)
+            values[done : done + take] = batch_values
         else:
             for i in range(take):
                 v = statistic(TimeSeriesSample(batch[i]))

@@ -129,10 +129,18 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+_TABLE_WIDTHS = (9, 9, 6, 8, 11, 9)
+
+
 def _cmd_reproduce_tables(args) -> int:
     result = reproduce_tables(args.out, fast=args.fast, seed=args.seed)
     for name, path in result["files"].items():
         print(f"{name}: {path}")
+        if name == "report":
+            continue
+        for line in Path(path).read_text().splitlines():
+            cells = zip(line.split(","), _TABLE_WIDTHS)
+            print("  " + "  ".join(c.ljust(w) for c, w in cells).rstrip())
     return 0
 
 

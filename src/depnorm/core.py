@@ -127,7 +127,8 @@ class CovarianceSequence:
             raise ValueError("lags must have shape (L + 1, p, p)")
         if not np.all(np.isfinite(arr)):
             raise ValueError("covariance sequence contains non-finite entries")
-        if not np.allclose(arr[0], arr[0].T, atol=1e-10):
+        scale = np.max(np.abs(arr[0]), initial=0.0)
+        if np.any(np.abs(arr[0] - arr[0].T) > 1e-10 * scale):
             raise ValueError("lag-0 covariance must be symmetric")
         object.__setattr__(self, "lags", arr)
 
@@ -198,9 +199,9 @@ def center(x: TimeSeriesSample) -> TimeSeriesSample:
 
 
 def _lag0(data: np.ndarray) -> np.ndarray:
-    n = data.shape[1]
-    s = data @ data.T / n
-    return (s + s.T) / 2.0
+    n = data.shape[-1]
+    s = data @ np.swapaxes(data, -1, -2) / n
+    return (s + np.swapaxes(s, -1, -2)) / 2.0
 
 
 def sample_covariance(x: TimeSeriesSample) -> np.ndarray:
@@ -219,22 +220,19 @@ def _cross_cov_direct(data: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def _cross_cov_fft(data: np.ndarray, max_lag: int) -> np.ndarray:
+    """Lagged covariances of one or more samples, ``(..., p, N)`` to
+    ``(..., max_lag + 1, p, p)``, by one FFT per row."""
     from scipy.fft import next_fast_len
 
-    p, n = data.shape
+    n = data.shape[-1]
     k = next_fast_len(n + max_lag + 1)
-    f = np.fft.rfft(data, k, axis=1)
-    out = np.empty((max_lag + 1, p, p))
-    for a in range(p):
-        # irfft of conj(F_a) * F_b holds sum_k x_a(k) x_b(k+tau) at index tau
-        prod = np.conj(f[a])[None, :] * f[a:]
-        cc = np.fft.irfft(prod, k, axis=1)[:, : max_lag + 1] / n
-        out[:, a, a:] = cc.T
-        if a + 1 < p:
-            prod = np.conj(f[a + 1 :]) * f[a][None, :]
-            cc = np.fft.irfft(prod, k, axis=1)[:, : max_lag + 1] / n
-            out[:, a + 1 :, a] = cc.T
-    out[0] = _lag0(data)
+    f = np.fft.rfft(data, k, axis=-1)
+    # irfft of conj(F_a) * F_b holds sum_k x_a(k) x_b(k+tau) at index tau
+    prod = np.conj(f)[..., :, None, :] * f[..., None, :, :]
+    del f  # release the spectrum before the inverse transform allocates
+    cc = np.fft.irfft(prod, k, axis=-1)[..., : max_lag + 1] / n
+    out = np.moveaxis(cc, -1, -3)
+    out[..., 0, :, :] = _lag0(data)
     return out
 
 
@@ -251,21 +249,6 @@ def sample_cross_covariance(x: TimeSeriesSample, max_lag: int) -> CovarianceSequ
     else:
         lags = _cross_cov_fft(x.data, max_lag)
     return CovarianceSequence(lags)
-
-
-def _autocov_rows(rows: np.ndarray, max_lag: int) -> np.ndarray:
-    """Row-wise autocovariance sums ``(1/N) sum_k y(k) y(k+tau)``.
-
-    ``rows`` is ``(m, N)``; the result is ``(m, max_lag + 1)``. Used by the
-    batched experiment pipeline; matches :func:`sample_cross_covariance`
-    applied row by row (up to FFT rounding).
-    """
-    from scipy.fft import next_fast_len
-
-    m, n = rows.shape
-    k = next_fast_len(n + max_lag + 1)
-    f = np.fft.rfft(rows, k, axis=1)
-    return np.fft.irfft(f * np.conj(f), k, axis=1)[:, : max_lag + 1] / n
 
 
 # ---------------------------------------------------------------------------

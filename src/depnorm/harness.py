@@ -25,12 +25,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
 
-from .calibrate import GaussianSurrogate, simulate_gaussian_batch
+from .calibrate import GaussianSurrogate, _moments_with_errors, simulate_gaussian_batch
 from .copula import ArchimedeanFamily, GeneratorConfig, generate
-from .core import RngStream, _autocov_rows, center, sample_cross_covariance
-from .kurtosis import TestKind, iid_null_moments, two_sided_p_value
+from .core import RngStream, _cross_cov_fft, center, sample_cross_covariance
+from .kurtosis import (
+    TestKind,
+    _colored_scalar_moments,
+    _mardia_batch,
+    iid_null_moments,
+    two_sided_p_value,
+)
 from .projection import rotation_matrix, sample_direction, sample_plane, sample_rotation
 
 __all__ = [
@@ -47,8 +52,6 @@ DEFAULT_SEED = 16
 
 # Substream tags for the per-realization RNG layout.
 _DATA, _ANGLES, _SURROGATE = 1, 2, 3
-
-_MAX_CONDITION = 1e12
 
 # Reference rejection rates, by table / copula / test / alpha.
 PAPER_RATES: dict[str, dict[str, dict[str, dict[float, float]]]] = {
@@ -212,24 +215,6 @@ class RejectionRateReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _mardia_values_masked(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch kurtosis values plus a validity mask (False where the projected
-    covariance is numerically singular)."""
-    x = batch - batch.mean(axis=2, keepdims=True)
-    n = x.shape[2]
-    s = np.einsum("rin,rjn->rij", x, x) / n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = np.linalg.cond(s)
-    diag = np.einsum("rii->ri", s)
-    ok = np.isfinite(cond) & (cond < _MAX_CONDITION) & np.all(diag > 0, axis=1)
-    s = np.where(ok[:, None, None], s, np.eye(s.shape[1]))
-    q = np.einsum("rin,rin->rn", np.linalg.solve(s, x), x)
-    values = np.mean(q * q, axis=1)
-    ok &= np.isfinite(values)
-    values[~ok] = np.nan
-    return values, ok
-
-
 def _draw_bases(cfg: ExperimentConfig, gen: np.random.Generator) -> np.ndarray:
     """M projection matrices, shape (M, projection_dim, source_dim)."""
     out = np.empty((cfg.m, cfg.projection_dim, cfg.source_dim))
@@ -243,25 +228,6 @@ def _draw_bases(cfg: ExperimentConfig, gen: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _scalar_colored_pvalues(y: np.ndarray, n: int, max_lag: int) -> np.ndarray:
-    """Two-sided p-values of the colored scalar test for each row of ``y``.
-
-    Vectorizes the closed-form moment sums across all projections; matches
-    run_test(kind=COLORED_SCALAR) row by row.
-    """
-    yc = y - y.mean(axis=1, keepdims=True)
-    s = _autocov_rows(yc, max_lag)
-    s0 = s[:, :1]
-    tau = np.arange(1, max_lag + 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        b = np.mean((yc**2 / s0) ** 2, axis=1)
-        r2 = (s[:, 1:] / s0) ** 2
-        mean = 3.0 - 6.0 / n - (12.0 / n**2) * np.sum((n - tau) * r2, axis=1)
-        var = (24.0 / n) * (1.0 + (2.0 / n) * np.sum((n - tau) * r2**2, axis=1))
-        z = np.abs(b - mean) / np.sqrt(var)
-    return erfc(z / math.sqrt(2.0))
-
-
 def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
     gen_cfg = GeneratorConfig(cfg.family, cfg.source_dim, cfg.n,
                               ar_coefficient=cfg.ar_coefficient,
@@ -273,40 +239,33 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
     projected = np.einsum("mkp,pn->mkn", bases, xc.data)
 
     pvalues: dict[TestKind, np.ndarray] = {}
-    valid = np.ones(cfg.m, dtype=bool)
-
-    need_stats = any(k in (TestKind.MARDIA_IID, TestKind.COLORED_BIVARIATE)
-                     for k in cfg.tests)
-    if need_stats or TestKind.COLORED_SCALAR in cfg.tests:
-        b_data, ok = _mardia_values_masked(projected)
-        valid &= ok
+    b_data, valid = _mardia_batch(projected)
 
     for kind in cfg.tests:
         if kind == TestKind.MARDIA_IID:
             mom = iid_null_moments(cfg.projection_dim, cfg.n)
-            z = np.abs(b_data - mom.mean) / math.sqrt(mom.variance)
-            pvalues[kind] = erfc(z / math.sqrt(2.0))
+            z = (b_data - mom.mean) / math.sqrt(mom.variance)
         elif kind == TestKind.COLORED_SCALAR:
-            pvalues[kind] = _scalar_colored_pvalues(projected[:, 0, :], cfg.n,
-                                                    cfg.n - 1)
+            yc = projected - projected.mean(axis=2, keepdims=True)
+            lags = _cross_cov_fft(yc, cfg.resolved_max_lag())[:, :, 0, 0]
+            mean, var = _colored_scalar_moments(lags, cfg.n)
+            z = (b_data - mean) / np.sqrt(var)
         else:
             cov = sample_cross_covariance(xc, cfg.resolved_max_lag())
             surrogate = GaussianSurrogate(cov, cfg.n)
             z_batch = simulate_gaussian_batch(
                 surrogate, stream.substream(_SURROGATE, r), cfg.calib_replicates
             )
-            pv = np.empty(cfg.m)
+            z = np.full(cfg.m, np.nan)
             for m in range(cfg.m):
                 null_proj = np.einsum("kp,rpn->rkn", bases[m], z_batch)
-                b_null, ok_null = _mardia_values_masked(null_proj)
+                b_null, ok_null = _mardia_batch(null_proj)
                 if not np.all(ok_null):
                     valid[m] = False
-                    pv[m] = np.nan
                     continue
-                mu = float(np.mean(b_null))
-                sd = float(np.std(b_null, ddof=1))
-                pv[m] = two_sided_p_value((b_data[m] - mu) / sd)
-            pvalues[kind] = pv
+                mu, var, _, _ = _moments_with_errors(b_null)
+                z[m] = (b_data[m] - mu) / math.sqrt(var)
+        pvalues[kind] = two_sided_p_value(z)
 
     return pvalues, valid
 

@@ -31,7 +31,7 @@ from .core import (
     TestReport,
     TimeSeriesSample,
     center,
-    sample_covariance,
+    sample_covariance,  # noqa: F401  (perfbench/tracing.py patches it here)
     sample_cross_covariance,
 )
 
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _MAX_CONDITION = 1e12
+_DEGENERATE_MESSAGE = ("sample covariance is numerically singular or the statistic "
+                       "overflowed; check for collinear or constant channels")
 
 
 class TestKind(enum.Enum):
@@ -69,53 +71,36 @@ class KurtosisValue:
             raise ValueError(f"kurtosis {self.value} below the lower bound p={self.p}")
 
 
-def _degenerate(s: np.ndarray) -> bool:
-    """True when a covariance matrix is unusable for the statistic.
+def _mardia_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Statistic for a batch of samples, shape (R, p, N), plus a validity mask.
 
-    The condition number alone misses the scalar case (cond of a 1x1 matrix
-    is 1 whatever its value), so the diagonal is checked as well.
-    """
-    cond = np.linalg.cond(s)
-    return (not np.isfinite(cond)) or cond > _MAX_CONDITION or np.any(np.diag(s) <= 0)
-
-
-def _mardia_values(batch: np.ndarray) -> np.ndarray:
-    """Statistic for a batch of samples, shape (R, p, N) -> (R,).
-
-    Centers each sample, inverts each 2x2/3x3 covariance, and averages the
-    squared Mahalanobis norms. Raises on singular covariances.
+    Centers each sample, solves against each p x p covariance, and averages
+    the squared Mahalanobis norms. ``ok`` is False (and the value NaN) where
+    the covariance is numerically singular or the value overflows. The
+    condition number alone misses the scalar case (cond of a 1x1 matrix is
+    1 whatever its value), so the diagonal is checked as well.
     """
     x = batch - batch.mean(axis=2, keepdims=True)
     n = x.shape[2]
     s = np.einsum("rin,rjn->rij", x, x) / n
-    cond = np.linalg.cond(s)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond = np.linalg.cond(s)
     diag = np.einsum("rii->ri", s)
-    if np.any(~np.isfinite(cond)) or np.any(cond > _MAX_CONDITION) or np.any(diag <= 0):
-        raise DegenerateSampleError(
-            "sample covariance is numerically singular; check for collinear "
-            "or constant channels"
-        )
+    ok = np.isfinite(cond) & (cond < _MAX_CONDITION) & np.all(diag > 0, axis=1)
+    s = np.where(ok[:, None, None], s, np.eye(s.shape[1]))
     q = np.einsum("rin,rin->rn", np.linalg.solve(s, x), x)
     values = np.mean(q * q, axis=1)
-    if not np.all(np.isfinite(values)):
-        raise DegenerateSampleError("kurtosis statistic overflowed")
-    return values
+    ok &= np.isfinite(values)
+    values[~ok] = np.nan
+    return values, ok
 
 
 def mardia_kurtosis(x: TimeSeriesSample) -> KurtosisValue:
     """Evaluate the kurtosis statistic on one sample (centering included)."""
-    xc = center(x)
-    s = sample_covariance(xc)
-    if _degenerate(s):
-        raise DegenerateSampleError(
-            "sample covariance is numerically singular; check for collinear "
-            "or constant channels"
-        )
-    q = np.sum(xc.data * np.linalg.solve(s, xc.data), axis=0)
-    value = float(np.mean(q * q))
-    if not np.isfinite(value):
-        raise DegenerateSampleError("kurtosis statistic overflowed")
-    return KurtosisValue(value, x.p, x.n)
+    values, ok = _mardia_batch(x.data[None])
+    if not ok[0]:
+        raise DegenerateSampleError(_DEGENERATE_MESSAGE)
+    return KurtosisValue(float(values[0]), x.p, x.n)
 
 
 def iid_null_moments(p: int, n: int) -> NullMoments:
@@ -129,8 +114,11 @@ def iid_null_moments(p: int, n: int) -> NullMoments:
     )
 
 
-def colored_scalar_null_moments(cov: CovarianceSequence, n: int) -> NullMoments:
-    """Null moments of B_1 for a stationary scalar process.
+def _colored_scalar_moments(lags: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Null mean and variance of B_1 for each row of lagged autocovariances.
+
+    ``lags`` is ``(m, L + 1)`` holding S(0..L) per row; rows with S(0) <= 0
+    give non-finite moments.
 
     mean = 3 - 6/N - (12/N^2) sum_{tau=1}^{L} (N-tau) S(tau)^2 / S(0)^2
     var  = (24/N) [1 + (2/N) sum_{tau=1}^{L} (N-tau) S(tau)^4 / S(0)^4]
@@ -138,17 +126,26 @@ def colored_scalar_null_moments(cov: CovarianceSequence, n: int) -> NullMoments:
     Both are asymptotic (o(1/N) remainders dropped); with an all-zero tail
     they reduce to the i.i.d. case up to O(1/N^2) in the mean.
     """
+    tau = np.arange(1, lags.shape[1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r2 = (lags[:, 1:] / lags[:, :1]) ** 2
+    mean = 3.0 - 6.0 / n - (12.0 / n**2) * np.sum((n - tau) * r2, axis=1)
+    var = (24.0 / n) * (1.0 + (2.0 / n) * np.sum((n - tau) * r2**2, axis=1))
+    return mean, var
+
+
+def colored_scalar_null_moments(cov: CovarianceSequence, n: int) -> NullMoments:
+    """Null moments of B_1 for a stationary scalar process, from the lags
+    of ``cov`` up to N-1 (see :func:`_colored_scalar_moments`)."""
     if cov.p != 1:
         raise ValueError(f"scalar moments need p=1, got p={cov.p}")
     s0 = cov.lags[0, 0, 0]
     if not s0 > 0:
         raise DegenerateSampleError(f"S(0) must be positive, got {s0}")
     L = min(cov.max_lag, n - 1)
-    tau = np.arange(1, L + 1)
-    r2 = (cov.lags[1 : L + 1, 0, 0] / s0) ** 2
-    mean = 3.0 - 6.0 / n - (12.0 / n**2) * float(np.sum((n - tau) * r2))
-    var = (24.0 / n) * (1.0 + (2.0 / n) * float(np.sum((n - tau) * r2**2)))
-    return NullMoments(mean, var, MomentSource.COLORED_SCALAR_CLOSED_FORM, max_lag=L)
+    mean, var = _colored_scalar_moments(cov.lags[None, : L + 1, 0, 0], n)
+    return NullMoments(float(mean[0]), float(var[0]),
+                       MomentSource.COLORED_SCALAR_CLOSED_FORM, max_lag=L)
 
 
 def colored_bivariate_null_moments(cov: CovarianceSequence, n: int, budget=None) -> NullMoments:
@@ -171,9 +168,13 @@ def colored_bivariate_null_moments(cov: CovarianceSequence, n: int, budget=None)
     return result.as_null_moments(max_lag=max_lag)
 
 
-def two_sided_p_value(z: float) -> float:
-    """2 (1 - Phi(|z|)), evaluated via erfc so small values keep precision."""
-    return float(erfc(abs(z) / math.sqrt(2.0)))
+def two_sided_p_value(z: float | np.ndarray) -> float | np.ndarray:
+    """2 (1 - Phi(|z|)), evaluated via erfc so small values keep precision.
+
+    Works elementwise on arrays; a scalar z gives a float.
+    """
+    p = erfc(np.abs(z) / math.sqrt(2.0))
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def run_test(

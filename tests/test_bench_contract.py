@@ -1,0 +1,37 @@
+"""The benchmark's span tracer patches library functions by module
+attribute; every target it names must exist, or ``--trace 1`` fails."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("module, attr, layer, span", _tracing().FUNCTION_SPANS)
+def test_function_span_target_resolves(module, attr, layer, span):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("module, cls, attr, layer, span", _tracing().METHOD_SPANS)
+def test_method_span_target_resolves(module, cls, attr, layer, span):
+    owner = getattr(importlib.import_module(module), cls)
+    assert callable(owner.__dict__[attr])
+
+
+def test_tracer_installs_and_restores():
+    tracer = _tracing().Tracer()
+    kurtosis = importlib.import_module("depnorm.kurtosis")
+    original = kurtosis.run_test
+    with tracer.installed():
+        assert kurtosis.run_test is not original
+    assert kurtosis.run_test is original

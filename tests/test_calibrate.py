@@ -8,6 +8,7 @@ from depnorm import (
     CalibrationBudget,
     CalibrationError,
     CovarianceSequence,
+    DegenerateSampleError,
     GaussianSurrogate,
     RngStream,
     calibrate_null,
@@ -157,6 +158,11 @@ class TestCalibrateNull:
         r1 = calibrate_null(sur, budget=budget)
         r2 = calibrate_null(sur, budget=budget)
         assert r1 == r2
+
+    def test_collinear_replicates_raise(self):
+        sur = GaussianSurrogate(CovarianceSequence(np.ones((1, 2, 2))), 200)
+        with pytest.raises(DegenerateSampleError):
+            calibrate_null(sur, budget=CalibrationBudget(replicates=100, seed=RngStream(43)))
 
     def test_custom_statistic_and_quantiles(self):
         sur = GaussianSurrogate(_white_cov(1), 300)

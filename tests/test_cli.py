@@ -121,6 +121,28 @@ class TestExperiment:
         assert "rates" in json.loads(capsys.readouterr().out)
 
 
+class TestReproduceTables:
+    def test_prints_each_table_after_its_path(self, tmp_path, capsys, monkeypatch):
+        def fake_reproduce(out, fast, seed):
+            path = tmp_path / "table1.csv"
+            path.write_text("copula,test,alpha,rate,paper_rate,abs_diff\n"
+                            "gumbel,iid,0.05,0.1200,0.1242,0.0042\n")
+            report = tmp_path / "report.json"
+            report.write_text("{}")
+            return {"files": {"table1": path, "report": report}, "report": {}}
+
+        monkeypatch.setattr("depnorm.cli.reproduce_tables", fake_reproduce)
+        rc = main(["reproduce-tables", "--out", str(tmp_path), "--fast"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"table1: {tmp_path / 'table1.csv'}",
+            "  copula     test       alpha   rate      paper_rate   abs_diff",
+            "  gumbel     iid        0.05    0.1200    0.1242       0.0042",
+            f"report: {tmp_path / 'report.json'}",
+        ]
+
+
 class TestParsing:
     def test_bad_kind_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

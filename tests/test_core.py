@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depnorm import (
+    CovarianceSequence,
     RngStream,
     TimeSeriesSample,
     center,
@@ -16,6 +17,7 @@ from depnorm import (
     write_csv,
 )
 from depnorm.copula import ar1_filter
+from depnorm.core import _cross_cov_fft
 
 
 def _brute_cross_cov(data, max_lag):
@@ -111,12 +113,36 @@ class TestCrossCovariance:
             sample_cross_covariance(x, 40).lags[0], sample_covariance(x)
         )
 
+    def test_fft_batch_matches_single_samples(self):
+        data = RngStream(34).generator().standard_normal((3, 2, 120))
+        got = _cross_cov_fft(data, 40)
+        assert got.shape == (3, 41, 2, 2)
+        for i in range(3):
+            x = TimeSeriesSample(data[i])
+            np.testing.assert_allclose(got[i], sample_cross_covariance(x, 40).lags,
+                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_array_equal(got[i, 0], sample_covariance(x))
+
     def test_invalid_lag(self):
         x = TimeSeriesSample([[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):
             sample_cross_covariance(x, 3)
         with pytest.raises(ValueError):
             sample_cross_covariance(x, -1)
+
+
+class TestCovarianceSequenceValidation:
+    def test_tiny_scale_asymmetry_rejected(self):
+        lag0 = np.array([[1e-12, 5e-11], [0.0, 1e-12]])
+        with pytest.raises(ValueError, match="symmetric"):
+            CovarianceSequence(lag0[None])
+
+    def test_large_scale_rounding_asymmetry_accepted(self):
+        lag0 = 1e12 * np.array([[2.0, 0.3], [0.3, 1.0]])
+        lag0[0, 1] = np.nextafter(lag0[0, 1], np.inf)
+        assert lag0[0, 1] != lag0[1, 0]
+        cov = CovarianceSequence(lag0[None])
+        assert cov.p == 2
 
 
 class TestCenter:

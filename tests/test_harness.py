@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.special import erfc
 
 import depnorm as dn
 from depnorm import (
@@ -17,10 +16,21 @@ from depnorm import (
     run_experiment,
 )
 from depnorm.copula import ar1_filter
-from depnorm.harness import _mardia_values_masked, _scalar_colored_pvalues
+from depnorm.core import _cross_cov_fft
+from depnorm.harness import _ANGLES, _DATA, _draw_bases, _run_realization
+from depnorm.kurtosis import _colored_scalar_moments, _mardia_batch
 
 GUMBEL = ArchimedeanFamily.gumbel()
 CLAYTON = ArchimedeanFamily.clayton()
+
+
+def _colored1_pvalues(y, n, max_lag):
+    """Colored scalar p-values for each row of ``y`` from the batch kernel
+    and the shared closed form, as the harness computes them."""
+    yc = (y - y.mean(axis=1, keepdims=True))[:, None, :]
+    b, _ = _mardia_batch(yc)
+    mean, var = _colored_scalar_moments(_cross_cov_fft(yc, max_lag)[:, :, 0, 0], n)
+    return dn.two_sided_p_value((b - mean) / np.sqrt(var))
 
 
 def _tiny_config(**overrides):
@@ -131,16 +141,33 @@ class TestPipelineMatchesPublicApi:
     def test_scalar_pvalues_match_run_test(self):
         gen = RngStream(700).generator()
         y = gen.standard_normal((4, 500))
-        pv_batch = _scalar_colored_pvalues(y, 500, 499)
+        pv_batch = _colored1_pvalues(y, 500, 499)
         for i in range(4):
             rep = dn.run_test(TimeSeriesSample(y[i : i + 1]),
                               TestKind.COLORED_SCALAR, 0.05)
             assert pv_batch[i] == pytest.approx(rep.p_value, rel=1e-9)
 
+    def test_realization_pvalues_match_run_test_with_max_lag(self):
+        # the colored scalar branch honours ExperimentConfig.max_lag
+        cfg = _tiny_config(temporal_coloring=True, m=12, max_lag=30)
+        stream = RngStream(cfg.seed, 0)
+        pvalues, valid = _run_realization(cfg, 0, stream)
+        assert valid.all()
+        x = dn.generate(dn.GeneratorConfig(cfg.family, 2, cfg.n,
+                                           ar_coefficient=cfg.ar_coefficient,
+                                           n_drop=cfg.n_drop),
+                        stream.substream(_DATA, 0))
+        bases = _draw_bases(cfg, stream.substream(_ANGLES, 0).generator())
+        y = np.einsum("mkp,pn->mkn", bases, dn.center(x).data)
+        for kind in cfg.tests:
+            for m in range(cfg.m):
+                rep = dn.run_test(TimeSeriesSample(y[m]), kind, 0.05, max_lag=30)
+                assert pvalues[kind][m] == pytest.approx(rep.p_value, rel=1e-9)
+
     def test_batch_statistic_matches_mardia(self):
         gen = RngStream(701).generator()
         batch = gen.standard_normal((5, 2, 300))
-        vals, ok = _mardia_values_masked(batch)
+        vals, ok = _mardia_batch(batch)
         assert ok.all()
         for i in range(5):
             k = dn.mardia_kurtosis(TimeSeriesSample(batch[i]))
@@ -151,7 +178,7 @@ class TestPipelineMatchesPublicApi:
             RngStream(702).generator().standard_normal((2, 100)),
             np.vstack([np.ones(100), np.ones(100)]),
         ])
-        vals, ok = _mardia_values_masked(batch)
+        vals, ok = _mardia_batch(batch)
         assert ok[0] and not ok[1]
         assert np.isnan(vals[1])
 
@@ -170,7 +197,7 @@ class TestPipelineMatchesPublicApi:
         cov_src = dn.sample_cross_covariance(x, 799)
         sur = dn.GaussianSurrogate(cov_src, 800)
         z = dn.simulate_gaussian_batch(sur, RngStream(705), 2000)
-        b, ok = _mardia_values_masked(np.einsum("kp,rpn->rkn", basis, z))
+        b, ok = _mardia_batch(np.einsum("kp,rpn->rkn", basis, z))
         assert ok.all()
         se = b.std(ddof=1) / np.sqrt(b.size)
         assert abs(b.mean() - direct.mean) < 3 * np.hypot(se, se)
@@ -188,7 +215,7 @@ class TestNullSize:
             x -= x.mean(axis=1, keepdims=True)
             phis = gen.uniform(0, np.pi, m)
             y = np.stack([np.sin(phis), np.cos(phis)], axis=1) @ x
-            pv = _scalar_colored_pvalues(y, n, n - 1)
+            pv = _colored1_pvalues(y, n, n - 1)
             rates.append(np.mean(pv < 0.05))
         assert abs(np.mean(rates) - 0.05) < 0.02
 
@@ -205,9 +232,9 @@ class TestNullSize:
             x -= x.mean(axis=1, keepdims=True)
             phis = gen.uniform(0, np.pi, 100)
             y = np.stack([np.sin(phis), np.cos(phis)], axis=1) @ x
-            b, _ = _mardia_values_masked(y[:, None, :])
-            z = np.abs(b - mom.mean) / np.sqrt(mom.variance)
-            rates.append(np.mean(erfc(z / np.sqrt(2)) < 0.05))
+            b, _ = _mardia_batch(y[:, None, :])
+            z = (b - mom.mean) / np.sqrt(mom.variance)
+            rates.append(np.mean(dn.two_sided_p_value(z) < 0.05))
         assert np.mean(rates) > 0.1
 
     def test_bivariate_calibrated_test_size_on_gaussian_ar1(self):
@@ -226,8 +253,8 @@ class TestNullSize:
             m = 40
             for _ in range(m):
                 basis = dn.sample_plane(gen).basis()
-                bd, _ = _mardia_values_masked((basis @ x)[None, :, :])
-                bn, _ = _mardia_values_masked(np.einsum("kp,rpn->rkn", basis, z_batch))
+                bd, _ = _mardia_batch((basis @ x)[None, :, :])
+                bn, _ = _mardia_batch(np.einsum("kp,rpn->rkn", basis, z_batch))
                 zscore = (bd[0] - bn.mean()) / bn.std(ddof=1)
                 rej += dn.two_sided_p_value(zscore) < 0.05
             rates.append(rej / m)

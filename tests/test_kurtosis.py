@@ -209,6 +209,16 @@ class TestPValues:
         p = two_sided_p_value(10.0)
         assert 0 < p < 1e-20
 
+    def test_array_matches_scalar_calls_bit_for_bit(self):
+        zs = np.concatenate([np.linspace(-12, 12, 97), [0.0, 1e-300, 40.0]])
+        ps = two_sided_p_value(zs)
+        assert isinstance(ps, np.ndarray) and ps.shape == zs.shape
+        assert [float(p) for p in ps] == [two_sided_p_value(float(z)) for z in zs]
+
+    def test_scalar_input_gives_float(self):
+        assert type(two_sided_p_value(1.3)) is float
+        assert type(two_sided_p_value(np.float64(1.3))) is float
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0, 30), st.floats(0.01, 5))
     def test_monotone_property(self, z, dz):
