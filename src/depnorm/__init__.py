@@ -36,6 +36,7 @@ from .core import (
     load_sample,
     read_binary,
     read_csv,
+    resolve_max_lag,
     sample_covariance,
     sample_cross_covariance,
     write_binary,

@@ -7,8 +7,9 @@ matrices are eigen-factored per frequency (negative eigenvalues clipped and
 accounted for), and samples come out of one inverse FFT. Each complex draw
 yields two independent real replicates.
 
-:func:`calibrate_null` then estimates the mean and variance of a statistic
-over independent surrogate replicates, with standard errors for both.
+:func:`calibrate_null` then estimates the mean and variance of the kurtosis
+statistic over independent surrogate replicates, with standard errors for
+both.
 """
 
 from __future__ import annotations
@@ -53,27 +54,14 @@ _CLIP_ABORT = 1e-2
 
 @dataclass(frozen=True)
 class CalibrationBudget:
-    """Replicate count, lag truncation and seed for one calibration.
-
-    The default truncation keeps every lag: the full biased covariance
-    sequence has spectral matrices equal to the sample periodogram, which
-    is positive semidefinite by construction, so full-lag surrogates never
-    trip the clipping guard. Truncating below N-1 trades that guarantee for
-    a smaller model.
-    """
+    """Replicate count and seed for one calibration."""
 
     replicates: int = 2000
-    max_lag: int | None = None
     seed: RngStream = field(default_factory=lambda: RngStream(0, 0))
 
     def __post_init__(self) -> None:
         if self.replicates < 100:
             raise ValueError("moment estimates need at least 100 replicates")
-
-    def resolve_max_lag(self, n: int) -> int:
-        if self.max_lag is None:
-            return n - 1
-        return min(self.max_lag, n - 1)
 
 
 class GaussianSurrogate:
@@ -187,17 +175,15 @@ def _moments_with_errors(values: np.ndarray) -> tuple[float, float, float, float
 
 def calibrate_null(
     surrogate: GaussianSurrogate,
-    statistic=None,
     budget: CalibrationBudget | None = None,
     quantile_probs=None,
 ) -> CalibrationResult:
-    """Estimate null moments of ``statistic`` over surrogate replicates.
+    """Estimate null moments of the kurtosis statistic over surrogate
+    replicates.
 
-    ``statistic`` maps a TimeSeriesSample to a float (or anything with a
-    ``value`` attribute); by default the kurtosis statistic is evaluated on
-    whole batches at once. Replicates are drawn in fixed-size chunks, one
-    RNG substream per chunk, so the result is independent of execution
-    order and reproducible from the budget seed.
+    The statistic is evaluated on whole batches at once. Replicates are
+    drawn in fixed-size chunks, one RNG substream per chunk, so the result
+    is independent of execution order and reproducible from the budget seed.
     """
     if budget is None:
         budget = CalibrationBudget()
@@ -207,16 +193,10 @@ def calibrate_null(
     while done < budget.replicates:
         take = min(_CHUNK, budget.replicates - done)
         rng = budget.seed.substream(chunk_index)
-        batch = simulate_gaussian_batch(surrogate, rng, take)
-        if statistic is None:
-            batch_values, ok = _mardia_batch(batch)
-            if not np.all(ok):
-                raise DegenerateSampleError(_DEGENERATE_MESSAGE)
-            values[done : done + take] = batch_values
-        else:
-            for i in range(take):
-                v = statistic(TimeSeriesSample(batch[i]))
-                values[done + i] = getattr(v, "value", v)
+        batch_values, ok = _mardia_batch(simulate_gaussian_batch(surrogate, rng, take))
+        if not np.all(ok):
+            raise DegenerateSampleError(_DEGENERATE_MESSAGE)
+        values[done : done + take] = batch_values
         done += take
         chunk_index += 1
     mean, variance, se_mean, se_var = _moments_with_errors(values)

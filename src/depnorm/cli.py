@@ -20,12 +20,17 @@ from .core import (
     RngStream,
     center,
     load_sample,
+    resolve_max_lag,
     sample_cross_covariance,
     write_binary,
     write_csv,
 )
 from .harness import DEFAULT_SEED, ExperimentConfig, reproduce_tables, run_experiment
 from .kurtosis import TestKind, run_test
+
+
+_MAX_LAG_HELP = ("lags of the covariance sequence the colored nulls use "
+                 "(default N-1; larger values are clamped to N-1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,14 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--in", dest="input", required=True)
     t.add_argument("--kind", choices=[k.value for k in TestKind], default="iid")
     t.add_argument("--alpha", type=float, default=0.05)
-    t.add_argument("--max-lag", type=int, default=None)
+    t.add_argument("--max-lag", type=int, default=None, help=_MAX_LAG_HELP)
     t.add_argument("--calib-reps", type=int, default=2000)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     c = sub.add_parser("calibrate", help="calibrate the kurtosis null for a sample")
     c.add_argument("--in", dest="input", required=True)
-    c.add_argument("--max-lag", type=int, default=None)
+    c.add_argument("--max-lag", type=int, default=None, help=_MAX_LAG_HELP)
     c.add_argument("--reps", type=int, default=2000)
     c.add_argument("--seed", type=int, default=0)
 
@@ -93,8 +98,7 @@ def _cmd_generate(args) -> int:
 def _cmd_test(args) -> int:
     sample = load_sample(args.input)
     kind = TestKind(args.kind)
-    budget = CalibrationBudget(replicates=args.calib_reps, max_lag=args.max_lag,
-                               seed=RngStream(args.seed, 0))
+    budget = CalibrationBudget(replicates=args.calib_reps, seed=RngStream(args.seed, 0))
     report = run_test(sample, kind, args.alpha, max_lag=args.max_lag, budget=budget)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
@@ -107,10 +111,8 @@ def _cmd_test(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     sample = load_sample(args.input)
-    budget = CalibrationBudget(replicates=args.reps, max_lag=args.max_lag,
-                               seed=RngStream(args.seed, 0))
-    cov = sample_cross_covariance(center(sample),
-                                  budget.resolve_max_lag(sample.n))
+    budget = CalibrationBudget(replicates=args.reps, seed=RngStream(args.seed, 0))
+    cov = sample_cross_covariance(center(sample), resolve_max_lag(args.max_lag, sample.n))
     surrogate = GaussianSurrogate(cov, sample.n)
     result = calibrate_null(surrogate, budget=budget)
     print(json.dumps(result.to_dict(), sort_keys=True))

@@ -31,6 +31,7 @@ __all__ = [
     "load_sample",
     "read_binary",
     "read_csv",
+    "resolve_max_lag",
     "sample_covariance",
     "sample_cross_covariance",
     "write_binary",
@@ -210,13 +211,17 @@ def sample_covariance(x: TimeSeriesSample) -> np.ndarray:
     return _lag0(x.data)
 
 
-def _cross_cov_direct(data: np.ndarray, max_lag: int) -> np.ndarray:
-    p, n = data.shape
-    out = np.empty((max_lag + 1, p, p))
-    out[0] = _lag0(data)
-    for tau in range(1, max_lag + 1):
-        out[tau] = data[:, : n - tau] @ data[:, tau:].T / n
-    return out
+def resolve_max_lag(max_lag: int | None, n: int) -> int:
+    """Lag truncation for a series of length ``n``: N-1 for None, larger
+    values clamped to N-1.
+
+    Keeping every lag is the default: the full biased covariance sequence
+    has spectral matrices equal to the sample periodogram, which is positive
+    semidefinite by construction, so full-lag circulant-embedding surrogates
+    (Wood & Chan 1994) never trip the clipping guard. Truncating below N-1
+    trades that guarantee for a smaller model.
+    """
+    return n - 1 if max_lag is None else min(max_lag, n - 1)
 
 
 def _cross_cov_fft(data: np.ndarray, max_lag: int) -> np.ndarray:
@@ -244,11 +249,7 @@ def sample_cross_covariance(x: TimeSeriesSample, max_lag: int) -> CovarianceSequ
     """
     if not 0 <= max_lag <= x.n - 1:
         raise ValueError(f"max_lag must be in [0, N-1], got {max_lag} for N={x.n}")
-    if max_lag < 32:
-        lags = _cross_cov_direct(x.data, max_lag)
-    else:
-        lags = _cross_cov_fft(x.data, max_lag)
-    return CovarianceSequence(lags)
+    return CovarianceSequence(_cross_cov_fft(x.data, max_lag))
 
 
 # ---------------------------------------------------------------------------

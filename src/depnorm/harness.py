@@ -28,7 +28,13 @@ import numpy as np
 
 from .calibrate import GaussianSurrogate, _moments_with_errors, simulate_gaussian_batch
 from .copula import ArchimedeanFamily, GeneratorConfig, generate
-from .core import RngStream, _cross_cov_fft, center, sample_cross_covariance
+from .core import (
+    RngStream,
+    _cross_cov_fft,
+    center,
+    resolve_max_lag,
+    sample_cross_covariance,
+)
 from .kurtosis import (
     TestKind,
     _colored_scalar_moments,
@@ -133,11 +139,6 @@ class ExperimentConfig:
             if kind == TestKind.COLORED_BIVARIATE and self.projection_dim != 2:
                 raise ValueError("colored2 runs on 2-d projections only")
 
-    def resolved_max_lag(self) -> int:
-        if self.max_lag is None:
-            return self.n - 1
-        return min(self.max_lag, self.n - 1)
-
     def to_dict(self) -> dict:
         return {
             "family": self.family.kind,
@@ -240,6 +241,7 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
 
     pvalues: dict[TestKind, np.ndarray] = {}
     b_data, valid = _mardia_batch(projected)
+    max_lag = resolve_max_lag(cfg.max_lag, cfg.n)
 
     for kind in cfg.tests:
         if kind == TestKind.MARDIA_IID:
@@ -247,11 +249,11 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
             z = (b_data - mom.mean) / math.sqrt(mom.variance)
         elif kind == TestKind.COLORED_SCALAR:
             yc = projected - projected.mean(axis=2, keepdims=True)
-            lags = _cross_cov_fft(yc, cfg.resolved_max_lag())[:, :, 0, 0]
+            lags = _cross_cov_fft(yc, max_lag)[:, :, 0, 0]
             mean, var = _colored_scalar_moments(lags, cfg.n)
             z = (b_data - mean) / np.sqrt(var)
         else:
-            cov = sample_cross_covariance(xc, cfg.resolved_max_lag())
+            cov = sample_cross_covariance(xc, max_lag)
             surrogate = GaussianSurrogate(cov, cfg.n)
             z_batch = simulate_gaussian_batch(
                 surrogate, stream.substream(_SURROGATE, r), cfg.calib_replicates

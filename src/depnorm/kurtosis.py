@@ -31,6 +31,7 @@ from .core import (
     TestReport,
     TimeSeriesSample,
     center,
+    resolve_max_lag,
     sample_covariance,  # noqa: F401  (perfbench/tracing.py patches it here)
     sample_cross_covariance,
 )
@@ -142,7 +143,7 @@ def colored_scalar_null_moments(cov: CovarianceSequence, n: int) -> NullMoments:
     s0 = cov.lags[0, 0, 0]
     if not s0 > 0:
         raise DegenerateSampleError(f"S(0) must be positive, got {s0}")
-    L = min(cov.max_lag, n - 1)
+    L = resolve_max_lag(cov.max_lag, n)
     mean, var = _colored_scalar_moments(cov.lags[None, : L + 1, 0, 0], n)
     return NullMoments(float(mean[0]), float(var[0]),
                        MomentSource.COLORED_SCALAR_CLOSED_FORM, max_lag=L)
@@ -152,8 +153,9 @@ def colored_bivariate_null_moments(cov: CovarianceSequence, n: int, budget=None)
     """Null moments of B_2 for a stationary bivariate process, by parametric
     Monte Carlo against a Gaussian surrogate matching ``cov``.
 
-    Closed forms exist only as leading terms (8 - 16/N and 64/N plus lag
-    corrections); the calibration replaces them and reports its own
+    The surrogate uses the lags of ``cov`` up to N-1, and the moments record
+    that lag. Closed forms exist only as leading terms (8 - 16/N and 64/N
+    plus lag corrections); the calibration replaces them and reports its own
     uncertainty through the budget's replicate count.
     """
     from .calibrate import CalibrationBudget, GaussianSurrogate, calibrate_null
@@ -162,7 +164,7 @@ def colored_bivariate_null_moments(cov: CovarianceSequence, n: int, budget=None)
         raise ValueError(f"bivariate moments need p=2, got p={cov.p}")
     if budget is None:
         budget = CalibrationBudget()
-    max_lag = budget.resolve_max_lag(n)
+    max_lag = resolve_max_lag(cov.max_lag, n)
     surrogate = GaussianSurrogate(cov.truncated(max_lag), n)
     result = calibrate_null(surrogate, budget=budget)
     return result.as_null_moments(max_lag=max_lag)
@@ -187,9 +189,11 @@ def run_test(
     """Run one normality test and report statistic, z-score, p-value and
     decision at level alpha.
 
-    ``max_lag`` truncates the lag sums of the colored scalar test (default:
-    the full range N-1). The calibration budget only matters for
-    ``COLORED_BIVARIATE``.
+    ``max_lag`` truncates the covariance sequence of both colored kinds:
+    the lag sums of ``COLORED_SCALAR`` and the surrogate model of
+    ``COLORED_BIVARIATE`` (default: the full range N-1, see
+    :func:`~depnorm.core.resolve_max_lag`). The calibration budget only
+    matters for ``COLORED_BIVARIATE``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -202,18 +206,10 @@ def run_test(
     if kind == TestKind.MARDIA_IID:
         moments = iid_null_moments(x.p, x.n)
     else:
-        xc = center(x)
+        cov = sample_cross_covariance(center(x), resolve_max_lag(max_lag, x.n))
         if kind == TestKind.COLORED_SCALAR:
-            lag = x.n - 1 if max_lag is None else min(max_lag, x.n - 1)
-            cov = sample_cross_covariance(xc, lag)
             moments = colored_scalar_null_moments(cov, x.n)
         else:
-            from .calibrate import CalibrationBudget
-
-            if budget is None:
-                budget = CalibrationBudget(max_lag=max_lag)
-            lag = budget.resolve_max_lag(x.n)
-            cov = sample_cross_covariance(xc, lag)
             moments = colored_bivariate_null_moments(cov, x.n, budget)
 
     z = (stat.value - moments.mean) / math.sqrt(moments.variance)

@@ -14,6 +14,7 @@ from depnorm import (
     calibrate_null,
     colored_scalar_null_moments,
     iid_null_moments,
+    resolve_max_lag,
     simulate_gaussian,
     simulate_gaussian_batch,
 )
@@ -35,9 +36,9 @@ class TestBudget:
             CalibrationBudget(replicates=50)
 
     def test_max_lag_resolution(self):
-        assert CalibrationBudget().resolve_max_lag(1000) == 999
-        assert CalibrationBudget(max_lag=50).resolve_max_lag(1000) == 50
-        assert CalibrationBudget(max_lag=5000).resolve_max_lag(1000) == 999
+        assert resolve_max_lag(None, 1000) == 999
+        assert resolve_max_lag(50, 1000) == 50
+        assert resolve_max_lag(5000, 1000) == 999
 
 
 class TestSurrogate:
@@ -164,22 +165,16 @@ class TestCalibrateNull:
         with pytest.raises(DegenerateSampleError):
             calibrate_null(sur, budget=CalibrationBudget(replicates=100, seed=RngStream(43)))
 
-    def test_custom_statistic_and_quantiles(self):
+    def test_kurtosis_quantiles(self):
         sur = GaussianSurrogate(_white_cov(1), 300)
-
-        def third_moment(sample):
-            d = sample.data[0]
-            d = d - d.mean()
-            return float(np.mean(d**3))
-
         res = calibrate_null(
-            sur, statistic=third_moment,
-            budget=CalibrationBudget(replicates=400, seed=RngStream(43)),
+            sur, budget=CalibrationBudget(replicates=400, seed=RngStream(43)),
             quantile_probs=(0.1, 0.5, 0.9),
         )
-        assert abs(res.mean) < 5 * res.se_mean
         qs = res.quantiles
         assert qs is not None and qs[0.1] < qs[0.5] < qs[0.9]
+        assert qs[0.1] < res.mean < qs[0.9]
+        assert "quantiles" in res.to_dict()
 
     def test_json_record_fields(self):
         sur = GaussianSurrogate(_white_cov(1), 200)

@@ -6,18 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depnorm import (
+    ArchimedeanFamily,
     CalibrationBudget,
     CovarianceSequence,
     DegenerateSampleError,
+    GeneratorConfig,
     MomentSource,
     RngStream,
     TestKind,
     TimeSeriesSample,
+    center,
     colored_bivariate_null_moments,
     colored_scalar_null_moments,
+    generate,
     iid_null_moments,
     mardia_kurtosis,
     run_test,
+    sample_cross_covariance,
     two_sided_p_value,
 )
 from depnorm.kurtosis import KurtosisValue
@@ -259,6 +264,19 @@ class TestRunTest:
         x = TimeSeriesSample(RngStream(61).generator().standard_normal((1, 500)))
         rep = run_test(x, TestKind.COLORED_SCALAR, 0.05, max_lag=20)
         assert rep.null_moments.max_lag == 20
+
+    def test_bivariate_max_lag_honoured_and_recorded(self):
+        # white noise truncated to 30 lags at N=300 trips the clipping guard,
+        # so both checks use colored copula samples
+        family = ArchimedeanFamily.gumbel(5.0)
+        x = generate(GeneratorConfig(family, 2, 300), RngStream(89))
+        budget = CalibrationBudget(replicates=200, seed=RngStream(97))
+        rep = run_test(x, TestKind.COLORED_BIVARIATE, 0.05, max_lag=30, budget=budget)
+        assert rep.null_moments.max_lag == 30
+        # the recorded lag is that of the model calibrated, not of N
+        y = generate(GeneratorConfig(family, 2, 400), RngStream(101))
+        cov = sample_cross_covariance(center(y), 10)
+        assert colored_bivariate_null_moments(cov, 400, budget).max_lag == 10
 
     def test_kind_dimension_mismatch(self):
         x2 = TimeSeriesSample(RngStream(67).generator().standard_normal((2, 100)))
