@@ -63,9 +63,6 @@ from .kurtosis import (
 from .projection import (
     Direction1D,
     Plane2D,
-    project_1d,
-    project_2d,
-    rotate_2d,
     rotation_matrix,
     sample_direction,
     sample_plane,

@@ -41,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate copula-coupled test data")
     g.add_argument("--family", choices=["gumbel", "clayton"], required=True)
     g.add_argument("--rho", type=float, default=None,
-                   help="copula parameter (default 5 for gumbel, 2 for clayton)")
+                   help=f"copula parameter (default {ArchimedeanFamily.gumbel().rho:g} "
+                        f"for gumbel, {ArchimedeanFamily.clayton().rho:g} for clayton)")
     g.add_argument("--dim", type=int, default=2, help="number of variables p")
     g.add_argument("--len", type=int, default=1000, dest="length",
                    help="series length N")
@@ -81,10 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    rho = args.rho
-    if rho is None:
-        rho = 5.0 if args.family == "gumbel" else 2.0
-    cfg = GeneratorConfig(ArchimedeanFamily(args.family, rho), args.dim,
+    cfg = GeneratorConfig(ArchimedeanFamily.named(args.family, args.rho), args.dim,
                           args.length, ar_coefficient=args.ar, n_drop=args.drop,
                           temporal_coloring=args.color)
     sample = generate(cfg, RngStream(args.seed, 0))

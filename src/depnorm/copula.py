@@ -66,6 +66,14 @@ class ArchimedeanFamily:
     def clayton(cls, rho: float = 2.0) -> "ArchimedeanFamily":
         return cls(CLAYTON, rho)
 
+    @classmethod
+    def named(cls, kind: str, rho: float | None = None) -> "ArchimedeanFamily":
+        """Family ``kind`` with ``rho``, or with the family's default rho."""
+        make = {GUMBEL: cls.gumbel, CLAYTON: cls.clayton}.get(kind)
+        if make is None:
+            raise ValueError(f"unknown family {kind!r}")
+        return make() if rho is None else make(float(rho))
+
     def kendall_tau(self) -> float:
         """Population Kendall rank correlation implied by rho."""
         if self.kind == GUMBEL:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "DEFAULT_SEED",
     "ExperimentConfig",
     "PAPER_RATES",
-    "RealizationDetail",
     "RejectionRateReport",
     "reproduce_tables",
     "run_experiment",
@@ -91,10 +90,27 @@ _TABLE_SETUPS = {
 }
 
 
-def _default_tests(projection_dim: int) -> tuple[TestKind, ...]:
-    if projection_dim == 1:
-        return (TestKind.COLORED_SCALAR, TestKind.MARDIA_IID)
-    return (TestKind.COLORED_BIVARIATE,)
+# (source_dim, projection_dim) -> draw of one (projection_dim, source_dim)
+# basis: a line, a plane, or an in-plane rotation. The samplers are looked up
+# at draw time, so wrappers put on this module's names take effect.
+_SETUPS = {
+    (2, 1): lambda gen: sample_direction(gen).vector()[None, :],
+    (3, 2): lambda gen: sample_plane(gen).basis(),
+    (2, 2): lambda gen: rotation_matrix(sample_rotation(gen)),
+}
+
+# Config fields whose key in the dict form differs from the field name.
+_KEYS = {"n": "N", "m": "M"}
+_CASTS = {"int": int, "float": float, "bool": bool}
+
+
+def _from_json(f, value):
+    """A config field's value from its dict form, cast by its annotation."""
+    if f.name == "alphas":
+        return tuple(float(a) for a in value)
+    if f.name == "tests":
+        return None if value is None else tuple(TestKind(t) for t in value)
+    return _CASTS[f.type](value) if f.type in _CASTS else value
 
 
 @dataclass(frozen=True)
@@ -122,17 +138,20 @@ class ExperimentConfig:
     max_lag: int | None = None
 
     def __post_init__(self) -> None:
-        if (self.source_dim, self.projection_dim) not in ((2, 1), (3, 2), (2, 2)):
+        if (self.source_dim, self.projection_dim) not in _SETUPS:
             raise ValueError(
                 f"unsupported projection {self.source_dim}->{self.projection_dim}; "
-                f"supported: 2->1, 3->2, and 2->2 (rotations)"
+                f"supported: {', '.join(f'{s}->{p}' for s, p in _SETUPS)}"
             )
         if not all(0.0 < a < 1.0 for a in self.alphas):
             raise ValueError("all alphas must lie in (0, 1)")
         if self.m < 1 or self.realizations < 1:
             raise ValueError("M and realizations must be positive")
         if self.tests is None:
-            object.__setattr__(self, "tests", _default_tests(self.projection_dim))
+            object.__setattr__(self, "tests", (
+                (TestKind.COLORED_SCALAR, TestKind.MARDIA_IID)
+                if self.projection_dim == 1 else (TestKind.COLORED_BIVARIATE,)
+            ))
         for kind in self.tests:
             if kind == TestKind.COLORED_SCALAR and self.projection_dim != 1:
                 raise ValueError("colored1 runs on scalar projections only")
@@ -140,75 +159,71 @@ class ExperimentConfig:
                 raise ValueError("colored2 runs on 2-d projections only")
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family.kind,
-            "rho": self.family.rho,
-            "source_dim": self.source_dim,
-            "projection_dim": self.projection_dim,
-            "temporal_coloring": self.temporal_coloring,
-            "N": self.n,
-            "M": self.m,
-            "alphas": list(self.alphas),
-            "tests": [k.value for k in self.tests],
-            "realizations": self.realizations,
-            "seed": self.seed,
-            "ar_coefficient": self.ar_coefficient,
-            "n_drop": self.n_drop,
-            "calib_replicates": self.calib_replicates,
-            "max_lag": self.max_lag,
-        }
+        out = {"family": self.family.kind, "rho": self.family.rho}
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name == "alphas":
+                value = list(value)
+            elif f.name == "tests":
+                value = [k.value for k in value]
+            out[_KEYS.get(f.name, f.name)] = value
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        family = ArchimedeanFamily(raw["family"], float(raw.get("rho", 5.0)))
-        tests = raw.get("tests")
-        return cls(
-            family=family,
-            source_dim=int(raw["source_dim"]),
-            projection_dim=int(raw["projection_dim"]),
-            temporal_coloring=bool(raw["temporal_coloring"]),
-            n=int(raw.get("N", 1000)),
-            m=int(raw.get("M", 5000)),
-            alphas=tuple(float(a) for a in raw.get("alphas", (0.05, 0.10))),
-            tests=None if tests is None else tuple(TestKind(t) for t in tests),
-            realizations=int(raw.get("realizations", 1)),
-            seed=int(raw.get("seed", DEFAULT_SEED)),
-            ar_coefficient=float(raw.get("ar_coefficient", 0.8)),
-            n_drop=int(raw.get("n_drop", 1000)),
-            calib_replicates=int(raw.get("calib_replicates", 500)),
-            max_lag=raw.get("max_lag"),
-        )
+        """Inverse of :meth:`to_dict`. Absent keys take the field defaults and
+        an absent ``rho`` the family's default; unknown keys are an error."""
+        by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)[1:]}
+        unknown = set(raw) - set(by_key) - {"family", "rho"}
+        if unknown:
+            raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
+        kwargs = {f.name: _from_json(f, raw[key]) for key, f in by_key.items() if key in raw}
+        return cls(ArchimedeanFamily.named(raw["family"], raw.get("rho")), **kwargs)
 
 
-@dataclass(frozen=True)
-class RealizationDetail:
-    index: int
-    rates: dict
-    rejections: dict
-    skipped: int
+def _ratios(counts: dict, total: int) -> dict:
+    return {test: {a: n / total for a, n in by_alpha.items()}
+            for test, by_alpha in counts.items()}
 
 
 @dataclass(frozen=True)
 class RejectionRateReport:
-    config: dict
-    rates: dict
-    rejections: dict
-    details: tuple[RealizationDetail, ...] = field(repr=False)
-    skipped_total: int = 0
+    """Rejection counts of one study. ``counts[r][test][alpha]`` is how many
+    of the M projections of realization r rejected at ``alpha`` (alpha keyed
+    as ``f"{alpha:g}"``); ``skipped[r]`` is how many were skipped."""
+
+    config: ExperimentConfig
+    counts: tuple[dict, ...] = field(repr=False)
+    skipped: tuple[int, ...]
+
+    @property
+    def rejections(self) -> dict:
+        """Counts summed over realizations."""
+        return {test: {a: sum(c[test][a] for c in self.counts) for a in by_alpha}
+                for test, by_alpha in self.counts[0].items()}
+
+    @property
+    def rates(self) -> dict:
+        """Rejections over M times the number of realizations."""
+        return _ratios(self.rejections, self.config.m * self.config.realizations)
+
+    @property
+    def skipped_total(self) -> int:
+        return sum(self.skipped)
 
     def rate(self, kind: TestKind, alpha: float) -> float:
         return self.rates[kind.value][f"{alpha:g}"]
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config,
+            "config": self.config.to_dict(),
             "rates": self.rates,
             "rejections": self.rejections,
             "skipped_total": self.skipped_total,
             "realizations": [
-                {"index": d.index, "rates": d.rates,
-                 "rejections": d.rejections, "skipped": d.skipped}
-                for d in self.details
+                {"index": r, "rates": _ratios(c, self.config.m),
+                 "rejections": c, "skipped": s}
+                for r, (c, s) in enumerate(zip(self.counts, self.skipped))
             ],
         }
 
@@ -218,15 +233,8 @@ class RejectionRateReport:
 
 def _draw_bases(cfg: ExperimentConfig, gen: np.random.Generator) -> np.ndarray:
     """M projection matrices, shape (M, projection_dim, source_dim)."""
-    out = np.empty((cfg.m, cfg.projection_dim, cfg.source_dim))
-    for m in range(cfg.m):
-        if (cfg.source_dim, cfg.projection_dim) == (2, 1):
-            out[m, 0] = sample_direction(gen).vector()
-        elif (cfg.source_dim, cfg.projection_dim) == (3, 2):
-            out[m] = sample_plane(gen).basis()
-        else:
-            out[m] = rotation_matrix(sample_rotation(gen))
-    return out
+    draw = _SETUPS[(cfg.source_dim, cfg.projection_dim)]
+    return np.array([draw(gen) for _ in range(cfg.m)])
 
 
 def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
@@ -273,43 +281,21 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
 
 
 def run_experiment(cfg: ExperimentConfig) -> RejectionRateReport:
-    """Run the full protocol and aggregate empirical rejection rates.
+    """Run the full protocol and count rejections per realization.
 
     Rates use the protocol's plain ratio rejections / M; projections whose
-    covariance degenerates are skipped, logged in the per-realization
-    detail, and count as non-rejections.
+    covariance degenerates are skipped, counted per realization, and count
+    as non-rejections.
     """
     stream = RngStream(cfg.seed, 0)
-    details = []
-    totals = {k.value: {f"{a:g}": 0 for a in cfg.alphas} for k in cfg.tests}
-    skipped_total = 0
+    counts, skipped = [], []
     for r in range(cfg.realizations):
         pvalues, valid = _run_realization(cfg, r, stream)
-        skipped = int(np.sum(~valid))
-        skipped_total += skipped
-        rates: dict = {}
-        rejections: dict = {}
-        for kind, pv in pvalues.items():
-            rates[kind.value] = {}
-            rejections[kind.value] = {}
-            for a in cfg.alphas:
-                nrej = int(np.sum(pv[valid] < a))
-                rejections[kind.value][f"{a:g}"] = nrej
-                rates[kind.value][f"{a:g}"] = nrej / cfg.m
-                totals[kind.value][f"{a:g}"] += nrej
-        details.append(RealizationDetail(r, rates, rejections, skipped))
-
-    mean_rates = {
-        test: {a: cnt / (cfg.m * cfg.realizations) for a, cnt in by_alpha.items()}
-        for test, by_alpha in totals.items()
-    }
-    return RejectionRateReport(
-        config=cfg.to_dict(),
-        rates=mean_rates,
-        rejections=totals,
-        details=tuple(details),
-        skipped_total=skipped_total,
-    )
+        skipped.append(int(np.sum(~valid)))
+        counts.append({kind.value: {f"{a:g}": int(np.sum(pv[valid] < a))
+                                    for a in cfg.alphas}
+                       for kind, pv in pvalues.items()})
+    return RejectionRateReport(cfg, tuple(counts), tuple(skipped))
 
 
 def reproduce_tables(out_dir: str | Path, fast: bool = False,
@@ -335,22 +321,17 @@ def reproduce_tables(out_dir: str | Path, fast: bool = False,
     for table, setup in _TABLE_SETUPS.items():
         rows = []
         report["tables"][table] = {}
-        for fam_name, rho in (("gumbel", 5.0), ("clayton", 2.0)):
-            cfg = ExperimentConfig(
-                family=ArchimedeanFamily(fam_name, rho),
-                source_dim=setup["source_dim"],
-                projection_dim=setup["projection_dim"],
-                temporal_coloring=setup["temporal_coloring"],
-                n=n, m=m, realizations=realizations, seed=seed,
-                calib_replicates=calib_replicates,
-            )
+        for family in (ArchimedeanFamily.gumbel(), ArchimedeanFamily.clayton()):
+            cfg = ExperimentConfig(family=family, **setup, n=n, m=m,
+                                   realizations=realizations, seed=seed,
+                                   calib_replicates=calib_replicates)
             res = run_experiment(cfg)
-            report["tables"][table][fam_name] = res.to_dict()
+            report["tables"][table][family.kind] = res.to_dict()
             for kind in cfg.tests:
                 for a in cfg.alphas:
                     rate = res.rate(kind, a)
-                    paper = PAPER_RATES[table][fam_name][kind.value][a]
-                    rows.append((fam_name, kind.value, a, rate, paper))
+                    paper = PAPER_RATES[table][family.kind][kind.value][a]
+                    rows.append((family.kind, kind.value, a, rate, paper))
         path = out / f"{table}.csv"
         with open(path, "w") as fh:
             fh.write("copula,test,alpha,rate,paper_rate,abs_diff\n")

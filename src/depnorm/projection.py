@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, TimeSeriesSample
+from .core import RngStream
 
 __all__ = [
     "Direction1D",
     "Plane2D",
-    "project_1d",
-    "project_2d",
-    "rotate_2d",
     "rotation_matrix",
     "sample_direction",
     "sample_plane",
@@ -54,31 +51,9 @@ class Plane2D:
         return np.array([[cp, sp, 0.0], [-st * sp, st * cp, ct]])
 
 
-def project_1d(x: TimeSeriesSample, d: Direction1D) -> TimeSeriesSample:
-    """y(n) = sin(phi) x1(n) + cos(phi) x2(n); requires p = 2."""
-    if x.p != 2:
-        raise ValueError(f"project_1d needs p=2, got p={x.p}")
-    return TimeSeriesSample(d.vector()[None, :] @ x.data)
-
-
-def project_2d(x: TimeSeriesSample, pl: Plane2D) -> TimeSeriesSample:
-    """Project a trivariate sample onto the plane's orthonormal basis."""
-    if x.p != 3:
-        raise ValueError(f"project_2d needs p=3, got p={x.p}")
-    return TimeSeriesSample(pl.basis() @ x.data)
-
-
 def rotation_matrix(phi: float) -> np.ndarray:
     c, s = np.cos(phi), np.sin(phi)
     return np.array([[c, s], [-s, c]])
-
-
-def rotate_2d(x: TimeSeriesSample, phi: float) -> TimeSeriesSample:
-    """Re-express a bivariate sample in a rotated orthonormal basis, i.e.
-    two scalar projections onto two orthogonal axes."""
-    if x.p != 2:
-        raise ValueError(f"rotate_2d needs p=2, got p={x.p}")
-    return TimeSeriesSample(rotation_matrix(phi) @ x.data)
 
 
 def sample_direction(rng: RngStream | np.random.Generator) -> Direction1D:

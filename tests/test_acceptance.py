@@ -207,7 +207,7 @@ def test_criterion_9_affine_invariance():
                                                        seed=RngStream(7, 0)))
     flips = 0
     for i in range(100):
-        rotated = dn.rotate_2d(x, gen.uniform(0, np.pi))
+        rotated = TimeSeriesSample(dn.rotation_matrix(gen.uniform(0, np.pi)) @ x.data)
         rep = dn.run_test(rotated, TestKind.COLORED_BIVARIATE, 0.05,
                           budget=CalibrationBudget(replicates=500,
                                                    seed=RngStream(7, i + 1)))

@@ -35,3 +35,15 @@ def test_tracer_installs_and_restores():
     with tracer.installed():
         assert kurtosis.run_test is not original
     assert kurtosis.run_test is original
+
+
+@pytest.mark.parametrize("source_dim, projection_dim", [(2, 1), (3, 2), (2, 2)])
+def test_tracer_sees_every_projection_draw(source_dim, projection_dim):
+    from depnorm import ArchimedeanFamily, ExperimentConfig, run_experiment
+
+    cfg = ExperimentConfig(ArchimedeanFamily.gumbel(), source_dim, projection_dim,
+                           True, n=200, m=3, realizations=2, calib_replicates=20)
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        run_experiment(cfg)
+    assert tracer.spans[("projection", "draw")][0] == cfg.m * cfg.realizations

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,3 +160,11 @@ class TestParsing:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_package_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-m", "depnorm", "--help"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: depnorm")

@@ -41,6 +41,13 @@ class TestFamilyValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ArchimedeanFamily("frank", 2.0)
+        with pytest.raises(ValueError):
+            ArchimedeanFamily.named("frank")
+
+    def test_named_defaults_to_constructor_rho(self):
+        assert ArchimedeanFamily.named("gumbel") == ArchimedeanFamily.gumbel()
+        assert ArchimedeanFamily.named("clayton") == ArchimedeanFamily.clayton()
+        assert ArchimedeanFamily.named("clayton", 3) == ArchimedeanFamily.clayton(3.0)
 
     def test_kendall_tau_targets(self):
         assert GUMBEL5.kendall_tau() == pytest.approx(0.8)

@@ -73,6 +73,20 @@ class TestExperimentConfig:
         back = ExperimentConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
+    def test_from_dict_takes_rho_from_family(self):
+        raw = {"family": "clayton", "source_dim": 2, "projection_dim": 1,
+               "temporal_coloring": True}
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.family == ArchimedeanFamily.clayton()
+        assert cfg.family.rho == 2.0
+        assert cfg == ExperimentConfig(CLAYTON, 2, 1, True)
+
+    def test_from_dict_rejects_unknown_keys(self):
+        raw = _tiny_config().to_dict()
+        raw["calib_replicate"] = raw.pop("calib_replicates")
+        with pytest.raises(ValueError, match="calib_replicate"):
+            ExperimentConfig.from_dict(raw)
+
 
 class TestPaperRates:
     def test_reference_values_echoed(self):
@@ -97,9 +111,9 @@ class TestRunExperiment:
         for by_alpha in rep.rates.values():
             for rate in by_alpha.values():
                 assert 0.0 <= rate <= 1.0
-        assert len(rep.details) == cfg.realizations
-        for det in rep.details:
-            for test, by_alpha in det.rejections.items():
+        assert len(rep.counts) == cfg.realizations
+        for counts in rep.counts:
+            for test, by_alpha in counts.items():
                 for nrej in by_alpha.values():
                     assert 0 <= nrej <= cfg.m
 
@@ -107,9 +121,9 @@ class TestRunExperiment:
         rep = run_experiment(_tiny_config(m=120))
         for test in rep.rates:
             assert rep.rates[test]["0.05"] <= rep.rates[test]["0.1"]
-        for det in rep.details:
-            for test in det.rejections:
-                assert det.rejections[test]["0.05"] <= det.rejections[test]["0.1"]
+        for counts in rep.counts:
+            for test in counts:
+                assert counts[test]["0.05"] <= counts[test]["0.1"]
 
     def test_deterministic_report(self):
         cfg = _tiny_config(m=40)

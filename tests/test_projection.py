@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,9 +7,6 @@ from depnorm import (
     Plane2D,
     RngStream,
     TimeSeriesSample,
-    project_1d,
-    project_2d,
-    rotate_2d,
     rotation_matrix,
     sample_covariance,
     sample_direction,
@@ -26,28 +22,24 @@ def _random_sample(p, n, seed):
 class TestProject1D:
     def test_axis_alignment(self):
         x = _random_sample(2, 30, 1)
-        np.testing.assert_array_equal(project_1d(x, Direction1D(0.0)).data[0], x.data[1])
+        np.testing.assert_array_equal(Direction1D(0.0).vector() @ x.data, x.data[1])
         np.testing.assert_allclose(
-            project_1d(x, Direction1D(np.pi / 2)).data[0], x.data[0], atol=1e-12
+            Direction1D(np.pi / 2).vector() @ x.data, x.data[0], atol=1e-12
         )
 
     def test_diagonal(self):
         x = TimeSeriesSample([[1.0, 1.0], [1.0, 1.0]])
-        y = project_1d(x, Direction1D(np.pi / 4))
-        np.testing.assert_allclose(y.data, np.sqrt(2.0) * np.ones((1, 2)))
-
-    def test_requires_bivariate(self):
-        with pytest.raises(ValueError):
-            project_1d(_random_sample(3, 10, 2), Direction1D(0.3))
+        y = Direction1D(np.pi / 4).vector() @ x.data
+        np.testing.assert_allclose(y, np.sqrt(2.0) * np.ones(2))
 
     def test_linearity(self):
         a = _random_sample(2, 50, 3)
         b = _random_sample(2, 50, 4)
-        d = Direction1D(1.234)
+        v = Direction1D(1.234).vector()
         combo = TimeSeriesSample(2.5 * a.data - 0.5 * b.data)
         np.testing.assert_allclose(
-            project_1d(combo, d).data,
-            2.5 * project_1d(a, d).data - 0.5 * project_1d(b, d).data,
+            v @ combo.data,
+            2.5 * (v @ a.data) - 0.5 * (v @ b.data),
             atol=1e-12,
         )
 
@@ -55,16 +47,12 @@ class TestProject1D:
 class TestProject2D:
     def test_axis_aligned_planes(self):
         x = _random_sample(3, 40, 5)
-        y = project_2d(x, Plane2D(0.0, 0.0))
-        np.testing.assert_allclose(y.data[0], x.data[0], atol=1e-15)
-        np.testing.assert_allclose(y.data[1], x.data[2], atol=1e-15)
-        y = project_2d(x, Plane2D(0.0, np.pi / 2))
-        np.testing.assert_allclose(y.data[0], x.data[1], atol=1e-12)
-        np.testing.assert_allclose(y.data[1], x.data[2], atol=1e-12)
-
-    def test_requires_trivariate(self):
-        with pytest.raises(ValueError):
-            project_2d(_random_sample(2, 10, 6), Plane2D(0.1, 0.2))
+        y = Plane2D(0.0, 0.0).basis() @ x.data
+        np.testing.assert_allclose(y[0], x.data[0], atol=1e-15)
+        np.testing.assert_allclose(y[1], x.data[2], atol=1e-15)
+        y = Plane2D(0.0, np.pi / 2).basis() @ x.data
+        np.testing.assert_allclose(y[0], x.data[1], atol=1e-12)
+        np.testing.assert_allclose(y[1], x.data[2], atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-np.pi / 2, np.pi / 2), st.floats(0.0, np.pi))
@@ -82,11 +70,7 @@ class TestRotation:
 
     def test_zero_rotation_is_identity(self):
         x = _random_sample(2, 20, 7)
-        np.testing.assert_array_equal(rotate_2d(x, 0.0).data, x.data)
-
-    def test_requires_bivariate(self):
-        with pytest.raises(ValueError):
-            rotate_2d(_random_sample(3, 10, 8), 0.5)
+        np.testing.assert_array_equal(rotation_matrix(0.0) @ x.data, x.data)
 
 
 class TestAngleSampling:
@@ -122,5 +106,5 @@ class TestEnergyBound:
         lam_max = np.linalg.eigvalsh(sample_covariance(x)).max()
         gen = RngStream(14).generator()
         for _ in range(50):
-            y = project_1d(x, sample_direction(gen))
-            assert y.data.var() <= lam_max + 1e-10
+            y = sample_direction(gen).vector() @ x.data
+            assert y.var() <= lam_max + 1e-10
