@@ -11,7 +11,6 @@ from .calibrate import (
     CalibrationResult,
     GaussianSurrogate,
     calibrate_null,
-    simulate_gaussian,
     simulate_gaussian_batch,
 )
 from .copula import (
@@ -39,6 +38,7 @@ from .core import (
     resolve_max_lag,
     sample_covariance,
     sample_cross_covariance,
+    save_sample,
     write_binary,
     write_csv,
 )

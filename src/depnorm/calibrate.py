@@ -25,10 +25,7 @@ from .core import (
     CalibrationError,
     CovarianceSequence,
     DegenerateSampleError,
-    MomentSource,
-    NullMoments,
     RngStream,
-    TimeSeriesSample,
 )
 from .kurtosis import _DEGENERATE_MESSAGE, _mardia_batch
 
@@ -37,7 +34,6 @@ __all__ = [
     "CalibrationResult",
     "GaussianSurrogate",
     "calibrate_null",
-    "simulate_gaussian",
     "simulate_gaussian_batch",
 ]
 
@@ -76,7 +72,6 @@ class GaussianSurrogate:
     def __init__(self, cov: CovarianceSequence, n: int):
         if n < 2:
             raise ValueError("surrogate length must be >= 2")
-        self.cov = cov
         self.n = n
         L = cov.max_lag
         p = cov.p
@@ -107,11 +102,10 @@ class GaussianSurrogate:
         self.p = p
 
 
-def simulate_gaussian_batch(surrogate: GaussianSurrogate,
-                            rng: RngStream | np.random.Generator,
+def simulate_gaussian_batch(surrogate: GaussianSurrogate, rng: RngStream,
                             count: int) -> np.ndarray:
     """Draw ``count`` independent replicates, shape (count, p, N)."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = rng.generator()
     k, p, n = surrogate._k, surrogate.p, surrogate.n
     half = (count + 1) // 2
     xi = gen.standard_normal((half, k, p)) + 1j * gen.standard_normal((half, k, p))
@@ -123,11 +117,6 @@ def simulate_gaussian_batch(surrogate: GaussianSurrogate,
     return out[:count]
 
 
-def simulate_gaussian(surrogate: GaussianSurrogate, rng: RngStream) -> TimeSeriesSample:
-    """Draw one stationary Gaussian sample from the surrogate model."""
-    return TimeSeriesSample(simulate_gaussian_batch(surrogate, rng, 1)[0])
-
-
 @dataclass(frozen=True)
 class CalibrationResult:
     mean: float
@@ -137,10 +126,6 @@ class CalibrationResult:
     replicates: int
     clipping_norm: float
     quantiles: dict[float, float] | None = None
-
-    def as_null_moments(self, max_lag: int | None = None) -> NullMoments:
-        return NullMoments(self.mean, self.variance,
-                           MomentSource.MONTE_CARLO_CALIBRATED, max_lag=max_lag)
 
     def to_dict(self) -> dict:
         out = {

@@ -16,14 +16,12 @@ from .calibrate import CalibrationBudget, GaussianSurrogate, calibrate_null
 from .copula import ArchimedeanFamily, GeneratorConfig, generate
 from .core import (
     CalibrationError,
-    DegenerateSampleError,
     RngStream,
     center,
     load_sample,
     resolve_max_lag,
     sample_cross_covariance,
-    write_binary,
-    write_csv,
+    save_sample,
 )
 from .harness import DEFAULT_SEED, ExperimentConfig, reproduce_tables, run_experiment
 from .kurtosis import TestKind, run_test
@@ -46,10 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dim", type=int, default=2, help="number of variables p")
     g.add_argument("--len", type=int, default=1000, dest="length",
                    help="series length N")
-    g.add_argument("--color", action=argparse.BooleanOptionalAction, default=True,
+    g.add_argument("--color", action=argparse.BooleanOptionalAction,
+                   default=GeneratorConfig.temporal_coloring,
                    help="AR(1)-color the marginals in time")
-    g.add_argument("--ar", type=float, default=0.8, help="AR(1) coefficient")
-    g.add_argument("--drop", type=int, default=1000, help="burn-in length")
+    g.add_argument("--ar", type=float, default=GeneratorConfig.ar_coefficient,
+                   help="AR(1) coefficient")
+    g.add_argument("--drop", type=int, default=GeneratorConfig.n_drop,
+                   help="burn-in length")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True,
                    help="output path (.csv for CSV, anything else binary)")
@@ -59,14 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--kind", choices=[k.value for k in TestKind], default="iid")
     t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--max-lag", type=int, default=None, help=_MAX_LAG_HELP)
-    t.add_argument("--calib-reps", type=int, default=2000)
+    t.add_argument("--calib-reps", type=int, default=CalibrationBudget.replicates)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     c = sub.add_parser("calibrate", help="calibrate the kurtosis null for a sample")
     c.add_argument("--in", dest="input", required=True)
     c.add_argument("--max-lag", type=int, default=None, help=_MAX_LAG_HELP)
-    c.add_argument("--reps", type=int, default=2000)
+    c.add_argument("--reps", type=int, default=CalibrationBudget.replicates)
     c.add_argument("--seed", type=int, default=0)
 
     e = sub.add_parser("experiment", help="run a rejection-rate study")
@@ -85,11 +86,7 @@ def _cmd_generate(args) -> int:
     cfg = GeneratorConfig(ArchimedeanFamily.named(args.family, args.rho), args.dim,
                           args.length, ar_coefficient=args.ar, n_drop=args.drop,
                           temporal_coloring=args.color)
-    sample = generate(cfg, RngStream(args.seed, 0))
-    if args.out.lower().endswith(".csv"):
-        write_csv(sample, args.out)
-    else:
-        write_binary(sample, args.out)
+    save_sample(generate(cfg, RngStream(args.seed, 0)), args.out)
     return 0
 
 
@@ -157,7 +154,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CalibrationError, DegenerateSampleError) as exc:
+    except (CalibrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

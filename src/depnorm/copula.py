@@ -129,7 +129,7 @@ def psi_inverse(family: ArchimedeanFamily, u):
     return out if out.ndim else float(out)
 
 
-def sample_frailty(family: ArchimedeanFamily, rng: RngStream | np.random.Generator,
+def sample_frailty(family: ArchimedeanFamily, gen: np.random.Generator,
                    size: int | None = None):
     """Draw the positive latent variable whose Laplace transform is psi.
 
@@ -137,7 +137,6 @@ def sample_frailty(family: ArchimedeanFamily, rng: RngStream | np.random.Generat
     positive stable law with index 1/rho, sampled by the Chambers-Mallows-
     Stuck construction; at rho = 1 it degenerates to the constant 1.
     """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = 1 if size is None else size
     if family.kind == CLAYTON:
         v = gen.gamma(1.0 / family.rho, 1.0, size=n)

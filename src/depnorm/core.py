@@ -34,6 +34,7 @@ __all__ = [
     "resolve_max_lag",
     "sample_covariance",
     "sample_cross_covariance",
+    "save_sample",
     "write_binary",
     "write_csv",
 ]
@@ -213,7 +214,7 @@ def sample_covariance(x: TimeSeriesSample) -> np.ndarray:
 
 def resolve_max_lag(max_lag: int | None, n: int) -> int:
     """Lag truncation for a series of length ``n``: N-1 for None, larger
-    values clamped to N-1.
+    values clamped to N-1, negative values rejected with ``ValueError``.
 
     Keeping every lag is the default: the full biased covariance sequence
     has spectral matrices equal to the sample periodogram, which is positive
@@ -221,6 +222,8 @@ def resolve_max_lag(max_lag: int | None, n: int) -> int:
     (Wood & Chan 1994) never trip the clipping guard. Truncating below N-1
     trades that guarantee for a smaller model.
     """
+    if max_lag is not None and max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     return n - 1 if max_lag is None else min(max_lag, n - 1)
 
 
@@ -289,8 +292,16 @@ def read_binary(path: str | Path) -> TimeSeriesSample:
     return TimeSeriesSample(payload.reshape(n, p).T)
 
 
+def _is_csv(path: str | Path) -> bool:
+    return str(path).lower().endswith(".csv")
+
+
 def load_sample(path: str | Path) -> TimeSeriesSample:
     """Read a sample, choosing the format by file extension (.csv or binary)."""
-    if str(path).lower().endswith(".csv"):
-        return read_csv(path)
-    return read_binary(path)
+    return read_csv(path) if _is_csv(path) else read_binary(path)
+
+
+def save_sample(x: TimeSeriesSample, path: str | Path) -> None:
+    """Write a sample in the format :func:`load_sample` reads back from
+    ``path``: CSV for a .csv extension, binary otherwise."""
+    (write_csv if _is_csv(path) else write_binary)(x, path)

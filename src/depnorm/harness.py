@@ -20,8 +20,7 @@ each projection's null distribution unchanged.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +131,8 @@ class ExperimentConfig:
     tests: tuple[TestKind, ...] | None = None
     realizations: int = 1
     seed: int = DEFAULT_SEED
-    ar_coefficient: float = 0.8
-    n_drop: int = 1000
+    ar_coefficient: float = GeneratorConfig.ar_coefficient
+    n_drop: int = GeneratorConfig.n_drop
     calib_replicates: int = 500
     max_lag: int | None = None
 
@@ -147,16 +146,14 @@ class ExperimentConfig:
             raise ValueError("all alphas must lie in (0, 1)")
         if self.m < 1 or self.realizations < 1:
             raise ValueError("M and realizations must be positive")
+        resolve_max_lag(self.max_lag, self.n)  # raises for a negative max_lag
         if self.tests is None:
             object.__setattr__(self, "tests", (
                 (TestKind.COLORED_SCALAR, TestKind.MARDIA_IID)
                 if self.projection_dim == 1 else (TestKind.COLORED_BIVARIATE,)
             ))
         for kind in self.tests:
-            if kind == TestKind.COLORED_SCALAR and self.projection_dim != 1:
-                raise ValueError("colored1 runs on scalar projections only")
-            if kind == TestKind.COLORED_BIVARIATE and self.projection_dim != 2:
-                raise ValueError("colored2 runs on 2-d projections only")
+            kind.check_dim(self.projection_dim)
 
     def to_dict(self) -> dict:
         out = {"family": self.family.kind, "rho": self.family.rho}
@@ -172,11 +169,16 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Inverse of :meth:`to_dict`. Absent keys take the field defaults and
-        an absent ``rho`` the family's default; unknown keys are an error."""
+        an absent ``rho`` the family's default; unknown keys and absent
+        required keys are an error."""
         by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)[1:]}
         unknown = set(raw) - set(by_key) - {"family", "rho"}
         if unknown:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
+        missing = {"family"} | {k for k, f in by_key.items() if f.default is MISSING}
+        missing -= set(raw)
+        if missing:
+            raise ValueError(f"missing experiment config keys: {sorted(missing)}")
         kwargs = {f.name: _from_json(f, raw[key]) for key, f in by_key.items() if key in raw}
         return cls(ArchimedeanFamily.named(raw["family"], raw.get("rho")), **kwargs)
 
@@ -252,30 +254,29 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
     max_lag = resolve_max_lag(cfg.max_lag, cfg.n)
 
     for kind in cfg.tests:
+        # null (mean, var): scalars for iid, per-projection arrays otherwise
         if kind == TestKind.MARDIA_IID:
             mom = iid_null_moments(cfg.projection_dim, cfg.n)
-            z = (b_data - mom.mean) / math.sqrt(mom.variance)
+            mean, var = mom.mean, mom.variance
         elif kind == TestKind.COLORED_SCALAR:
             yc = projected - projected.mean(axis=2, keepdims=True)
             lags = _cross_cov_fft(yc, max_lag)[:, :, 0, 0]
             mean, var = _colored_scalar_moments(lags, cfg.n)
-            z = (b_data - mean) / np.sqrt(var)
         else:
             cov = sample_cross_covariance(xc, max_lag)
             surrogate = GaussianSurrogate(cov, cfg.n)
             z_batch = simulate_gaussian_batch(
                 surrogate, stream.substream(_SURROGATE, r), cfg.calib_replicates
             )
-            z = np.full(cfg.m, np.nan)
+            mean, var = np.full(cfg.m, np.nan), np.full(cfg.m, np.nan)
             for m in range(cfg.m):
                 null_proj = np.einsum("kp,rpn->rkn", bases[m], z_batch)
                 b_null, ok_null = _mardia_batch(null_proj)
                 if not np.all(ok_null):
                     valid[m] = False
                     continue
-                mu, var, _, _ = _moments_with_errors(b_null)
-                z[m] = (b_data[m] - mu) / math.sqrt(var)
-        pvalues[kind] = two_sided_p_value(z)
+                mean[m], var[m], _, _ = _moments_with_errors(b_null)
+        pvalues[kind] = two_sided_p_value((b_data - mean) / np.sqrt(var))
 
     return pvalues, valid
 
@@ -299,15 +300,15 @@ def run_experiment(cfg: ExperimentConfig) -> RejectionRateReport:
 
 
 def reproduce_tables(out_dir: str | Path, fast: bool = False,
-                     seed: int = DEFAULT_SEED, n: int = 1000,
-                     m: int | None = None, realizations: int | None = None,
+                     seed: int = DEFAULT_SEED, m: int | None = None,
+                     realizations: int | None = None,
                      calib_replicates: int | None = None) -> dict:
     """Re-run all four reference tables and write one CSV per table plus a
     JSON report with per-realization detail.
 
-    Defaults are N=1000, M=5000, 5 realizations; ``fast`` switches to M=500
-    and 3 realizations for CI-scale runs. Identical seeds give byte-identical
-    outputs.
+    Every study uses the ``ExperimentConfig`` default N (1000). Defaults are
+    M=5000 and 5 realizations; ``fast`` switches to M=500 and 3 realizations
+    for CI-scale runs. Identical seeds give byte-identical outputs.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -315,14 +316,14 @@ def reproduce_tables(out_dir: str | Path, fast: bool = False,
     realizations = (3 if fast else 5) if realizations is None else realizations
     calib_replicates = (300 if fast else 500) if calib_replicates is None else calib_replicates
 
-    report: dict = {"seed": seed, "N": n, "M": m, "realizations": realizations,
-                    "tables": {}}
+    report: dict = {"seed": seed, "N": ExperimentConfig.n, "M": m,
+                    "realizations": realizations, "tables": {}}
     files = {}
     for table, setup in _TABLE_SETUPS.items():
         rows = []
         report["tables"][table] = {}
         for family in (ArchimedeanFamily.gumbel(), ArchimedeanFamily.clayton()):
-            cfg = ExperimentConfig(family=family, **setup, n=n, m=m,
+            cfg = ExperimentConfig(family=family, **setup, m=m,
                                    realizations=realizations, seed=seed,
                                    calib_replicates=calib_replicates)
             res = run_experiment(cfg)

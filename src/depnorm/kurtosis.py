@@ -59,6 +59,13 @@ class TestKind(enum.Enum):
     COLORED_SCALAR = "colored1"
     COLORED_BIVARIATE = "colored2"
 
+    def check_dim(self, p: int) -> None:
+        """Raise ``ValueError`` unless this kind runs on p-variate data
+        (``iid`` runs on any p)."""
+        need = {TestKind.COLORED_SCALAR: 1, TestKind.COLORED_BIVARIATE: 2}.get(self)
+        if need is not None and p != need:
+            raise ValueError(f"{self.value} requires p={need}, got p={p}")
+
 
 @dataclass(frozen=True)
 class KurtosisValue:
@@ -138,8 +145,7 @@ def _colored_scalar_moments(lags: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
 def colored_scalar_null_moments(cov: CovarianceSequence, n: int) -> NullMoments:
     """Null moments of B_1 for a stationary scalar process, from the lags
     of ``cov`` up to N-1 (see :func:`_colored_scalar_moments`)."""
-    if cov.p != 1:
-        raise ValueError(f"scalar moments need p=1, got p={cov.p}")
+    TestKind.COLORED_SCALAR.check_dim(cov.p)
     s0 = cov.lags[0, 0, 0]
     if not s0 > 0:
         raise DegenerateSampleError(f"S(0) must be positive, got {s0}")
@@ -158,16 +164,14 @@ def colored_bivariate_null_moments(cov: CovarianceSequence, n: int, budget=None)
     plus lag corrections); the calibration replaces them and reports its own
     uncertainty through the budget's replicate count.
     """
-    from .calibrate import CalibrationBudget, GaussianSurrogate, calibrate_null
+    from .calibrate import GaussianSurrogate, calibrate_null
 
-    if cov.p != 2:
-        raise ValueError(f"bivariate moments need p=2, got p={cov.p}")
-    if budget is None:
-        budget = CalibrationBudget()
+    TestKind.COLORED_BIVARIATE.check_dim(cov.p)
     max_lag = resolve_max_lag(cov.max_lag, n)
     surrogate = GaussianSurrogate(cov.truncated(max_lag), n)
     result = calibrate_null(surrogate, budget=budget)
-    return result.as_null_moments(max_lag=max_lag)
+    return NullMoments(result.mean, result.variance,
+                       MomentSource.MONTE_CARLO_CALIBRATED, max_lag=max_lag)
 
 
 def two_sided_p_value(z: float | np.ndarray) -> float | np.ndarray:
@@ -197,10 +201,7 @@ def run_test(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if kind == TestKind.COLORED_SCALAR and x.p != 1:
-        raise ValueError(f"{kind.value} requires p=1, got p={x.p}")
-    if kind == TestKind.COLORED_BIVARIATE and x.p != 2:
-        raise ValueError(f"{kind.value} requires p=2, got p={x.p}")
+    kind.check_dim(x.p)
 
     stat = mardia_kurtosis(x)
     if kind == TestKind.MARDIA_IID:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
-
 __all__ = [
     "Direction1D",
     "Plane2D",
@@ -56,19 +54,16 @@ def rotation_matrix(phi: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def sample_direction(rng: RngStream | np.random.Generator) -> Direction1D:
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+def sample_direction(gen: np.random.Generator) -> Direction1D:
     return Direction1D(gen.uniform(0.0, np.pi))
 
 
-def sample_plane(rng: RngStream | np.random.Generator) -> Plane2D:
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+def sample_plane(gen: np.random.Generator) -> Plane2D:
     theta = gen.uniform(-np.pi / 2, np.pi / 2)
     phi = gen.uniform(0.0, np.pi)
     return Plane2D(theta, phi)
 
 
-def sample_rotation(rng: RngStream | np.random.Generator) -> float:
+def sample_rotation(gen: np.random.Generator) -> float:
     """A random in-plane rotation angle, uniform on [0, pi)."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     return gen.uniform(0.0, np.pi)

@@ -11,11 +11,11 @@ from depnorm import (
     DegenerateSampleError,
     GaussianSurrogate,
     RngStream,
+    TimeSeriesSample,
     calibrate_null,
     colored_scalar_null_moments,
     iid_null_moments,
     resolve_max_lag,
-    simulate_gaussian,
     simulate_gaussian_batch,
 )
 
@@ -45,7 +45,7 @@ class TestSurrogate:
     def test_white_bivariate_is_decorrelated(self):
         n = 100_000
         sur = GaussianSurrogate(_white_cov(2), n)
-        x = simulate_gaussian(sur, RngStream(3))
+        x = TimeSeriesSample(simulate_gaussian_batch(sur, RngStream(3), 1)[0])
         d = x.data - x.data.mean(axis=1, keepdims=True)
         lag1 = d[:, :-1] @ d[:, 1:].T / n
         assert np.all(np.abs(lag1) < 0.01)
@@ -53,7 +53,7 @@ class TestSurrogate:
     def test_ar1_autocorrelation(self):
         n = 100_000
         sur = GaussianSurrogate(_ar1_cov(0.8, 60), n)
-        x = simulate_gaussian(sur, RngStream(5)).data[0]
+        x = TimeSeriesSample(simulate_gaussian_batch(sur, RngStream(5), 1)[0]).data[0]
         x = x - x.mean()
         acf3 = np.dot(x[:-3], x[3:]) / np.dot(x, x)
         assert acf3 == pytest.approx(0.512, abs=0.02)
@@ -61,7 +61,7 @@ class TestSurrogate:
     def test_marginal_gaussianity(self):
         n = 10_000
         sur = GaussianSurrogate(_ar1_cov(0.6, 40, s0=2.5), n)
-        x = simulate_gaussian(sur, RngStream(7)).data[0]
+        x = TimeSeriesSample(simulate_gaussian_batch(sur, RngStream(7), 1)[0]).data[0]
         stat = kstest(x / x.std(), "norm").statistic
         assert stat < 1.63 / math.sqrt(n)
 
@@ -91,8 +91,8 @@ class TestSurrogate:
 
     def test_deterministic(self):
         sur = GaussianSurrogate(_ar1_cov(0.5, 20), 300)
-        a = simulate_gaussian(sur, RngStream(13))
-        b = simulate_gaussian(sur, RngStream(13))
+        a = TimeSeriesSample(simulate_gaussian_batch(sur, RngStream(13), 1)[0])
+        b = TimeSeriesSample(simulate_gaussian_batch(sur, RngStream(13), 1)[0])
         np.testing.assert_array_equal(a.data, b.data)
 
 

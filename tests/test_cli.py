@@ -123,6 +123,40 @@ class TestExperiment:
         assert "rates" in json.loads(capsys.readouterr().out)
 
 
+class TestInputErrors:
+    """Invalid input and malformed configs exit with 2 and an error line,
+    not a traceback."""
+
+    def _config(self, tmp_path, **changes):
+        cfg = {"family": "gumbel", "source_dim": 2, "projection_dim": 1,
+               "temporal_coloring": False, "N": 300, "M": 5}
+        cfg.update(changes)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+        return path
+
+    def _fails(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_config_missing_required_key(self, tmp_path, capsys):
+        path = self._config(tmp_path, source_dim=None)
+        self._fails(capsys, ["experiment", "--config", str(path)], "source_dim")
+
+    def test_config_unknown_key(self, tmp_path, capsys):
+        path = self._config(tmp_path, calib_replicate=150)
+        self._fails(capsys, ["experiment", "--config", str(path)], "calib_replicate")
+
+    def test_kind_dimension_mismatch(self, tmp_path, capsys):
+        out = _generate(tmp_path)
+        self._fails(capsys, ["test", "--in", str(out), "--kind", "colored1"],
+                    "colored1 requires p=1, got p=2")
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        self._fails(capsys, ["test", "--in", str(tmp_path / "absent.csv")], "absent.csv")
+
+
 class TestReproduceTables:
     def test_prints_each_table_after_its_path(self, tmp_path, capsys, monkeypatch):
         def fake_reproduce(out, fast, seed):

@@ -109,31 +109,31 @@ class TestGeneratorInverse:
 
 class TestFrailty:
     def test_clayton_mean_matches_gamma_shape(self):
-        v = sample_frailty(CLAYTON2, RngStream(41), size=100_000)
+        v = sample_frailty(CLAYTON2, RngStream(41).generator(), size=100_000)
         assert np.all(v > 0)
         se = v.std(ddof=1) / np.sqrt(v.size)
         assert abs(v.mean() - 0.5) < 3 * se
 
     def test_gumbel_laplace_transform(self):
         # E[exp(-tV)] must converge to psi(t); t=1 gives exp(-1)
-        v = sample_frailty(GUMBEL5, RngStream(43), size=100_000)
+        v = sample_frailty(GUMBEL5, RngStream(43).generator(), size=100_000)
         assert np.all(v > 0)
         ev = np.exp(-v)
         se = ev.std(ddof=1) / np.sqrt(ev.size)
         assert abs(ev.mean() - np.exp(-1.0)) < 3 * se
 
     def test_clayton_laplace_transform(self):
-        v = sample_frailty(CLAYTON2, RngStream(47), size=100_000)
+        v = sample_frailty(CLAYTON2, RngStream(47).generator(), size=100_000)
         ev = np.exp(-3.0 * v)
         se = ev.std(ddof=1) / np.sqrt(ev.size)
         assert abs(ev.mean() - 0.5) < 3 * se
 
     def test_gumbel_rho1_degenerates(self):
-        v = sample_frailty(ArchimedeanFamily.gumbel(1.0), RngStream(53), size=100)
+        v = sample_frailty(ArchimedeanFamily.gumbel(1.0), RngStream(53).generator(), size=100)
         np.testing.assert_allclose(v, 1.0)
 
     def test_scalar_draw(self):
-        v = sample_frailty(CLAYTON2, RngStream(59))
+        v = sample_frailty(CLAYTON2, RngStream(59).generator())
         assert isinstance(v, float) and v > 0
 
 

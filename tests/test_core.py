@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import depnorm
 from depnorm import (
     CovarianceSequence,
     RngStream,
@@ -11,8 +15,10 @@ from depnorm import (
     load_sample,
     read_binary,
     read_csv,
+    resolve_max_lag,
     sample_covariance,
     sample_cross_covariance,
+    save_sample,
     write_binary,
     write_csv,
 )
@@ -130,6 +136,11 @@ class TestCrossCovariance:
         with pytest.raises(ValueError):
             sample_cross_covariance(x, -1)
 
+    def test_resolve_max_lag_rejects_negative(self):
+        assert resolve_max_lag(0, 100) == 0
+        with pytest.raises(ValueError, match="max_lag"):
+            resolve_max_lag(-1, 100)
+
 
 class TestCovarianceSequenceValidation:
     def test_tiny_scale_asymmetry_rejected(self):
@@ -225,6 +236,13 @@ class TestPersistence:
         np.testing.assert_array_equal(load_sample(tmp_path / "a.csv").data, x.data)
         np.testing.assert_array_equal(load_sample(tmp_path / "a.bin").data, x.data)
 
+    def test_save_dispatches_on_extension(self, tmp_path):
+        x = TimeSeriesSample([[0.0, 1.0], [2.0, 3.0]])
+        save_sample(x, tmp_path / "a.CSV")
+        save_sample(x, tmp_path / "a.dnts")
+        np.testing.assert_array_equal(read_csv(tmp_path / "a.CSV").data, x.data)
+        np.testing.assert_array_equal(read_binary(tmp_path / "a.dnts").data, x.data)
+
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
@@ -249,3 +267,13 @@ class TestPersistence:
             write_binary(x, f"{base}/x.bin")
             np.testing.assert_array_equal(read_csv(f"{base}/x.csv").data, x.data)
             np.testing.assert_array_equal(read_binary(f"{base}/x.bin").data, x.data)
+
+
+def test_public_names_reexported():
+    # a name deleted from a module must leave its __all__ and depnorm's too
+    for info in pkgutil.iter_modules(depnorm.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"depnorm.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert getattr(depnorm, name) is getattr(module, name), f"{info.name}.{name}"

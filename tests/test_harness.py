@@ -64,6 +64,11 @@ class TestExperimentConfig:
             ExperimentConfig(GUMBEL, 2, 1, True, n=100, m=5,
                              tests=(TestKind.COLORED_BIVARIATE,))
 
+    def test_negative_max_lag_rejected(self):
+        ExperimentConfig(GUMBEL, 2, 1, True, n=300, m=5, max_lag=0)
+        with pytest.raises(ValueError, match="max_lag"):
+            ExperimentConfig(GUMBEL, 2, 1, True, n=300, m=5, max_lag=-5)
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(GUMBEL, 2, 1, True, n=100, m=5, alphas=(0.05, 1.5))

@@ -279,12 +279,30 @@ class TestRunTest:
         assert colored_bivariate_null_moments(cov, 400, budget).max_lag == 10
 
     def test_kind_dimension_mismatch(self):
+        from depnorm import ExperimentConfig
+
         x2 = TimeSeriesSample(RngStream(67).generator().standard_normal((2, 100)))
-        with pytest.raises(ValueError):
-            run_test(x2, TestKind.COLORED_SCALAR, 0.05)
         x1 = TimeSeriesSample(RngStream(67).generator().standard_normal((1, 100)))
-        with pytest.raises(ValueError):
+        cov2 = sample_cross_covariance(center(x2), 10)
+        cov1 = sample_cross_covariance(center(x1), 10)
+        # every layer states the rule with the same message
+        need1 = "colored1 requires p=1, got p=2"
+        need2 = "colored2 requires p=2, got p=1"
+        with pytest.raises(ValueError, match=need1):
+            run_test(x2, TestKind.COLORED_SCALAR, 0.05)
+        with pytest.raises(ValueError, match=need2):
             run_test(x1, TestKind.COLORED_BIVARIATE, 0.05)
+        with pytest.raises(ValueError, match=need1):
+            colored_scalar_null_moments(cov2, 100)
+        with pytest.raises(ValueError, match=need2):
+            colored_bivariate_null_moments(cov1, 100)
+        family = ArchimedeanFamily.gumbel()
+        with pytest.raises(ValueError, match=need1):
+            ExperimentConfig(family, 3, 2, True, n=100, m=5,
+                             tests=(TestKind.COLORED_SCALAR,))
+        with pytest.raises(ValueError, match=need2):
+            ExperimentConfig(family, 2, 1, True, n=100, m=5,
+                             tests=(TestKind.COLORED_BIVARIATE,))
 
     def test_alpha_validated(self):
         x = TimeSeriesSample(RngStream(71).generator().standard_normal((1, 100)))

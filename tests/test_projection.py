@@ -95,8 +95,8 @@ class TestAngleSampling:
         assert np.all((angles >= 0) & (angles < np.pi))
 
     def test_deterministic(self):
-        a = sample_plane(RngStream(12))
-        b = sample_plane(RngStream(12))
+        a = sample_plane(RngStream(12).generator())
+        b = sample_plane(RngStream(12).generator())
         assert a == b
 
 
