@@ -109,7 +109,7 @@ def simulate_gaussian_batch(surrogate: GaussianSurrogate, rng: RngStream,
     k, p, n = surrogate._k, surrogate.p, surrogate.n
     half = (count + 1) // 2
     xi = gen.standard_normal((half, k, p)) + 1j * gen.standard_normal((half, k, p))
-    z = np.einsum("kpq,hkq->hkp", surrogate._factor, xi)
+    z = (surrogate._factor @ xi[..., None])[..., 0]
     z = np.fft.ifft(z, axis=1) * math.sqrt(k)
     out = np.empty((2 * half, p, n))
     out[0::2] = z.real[:, :n, :].transpose(0, 2, 1)

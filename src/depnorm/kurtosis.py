@@ -79,28 +79,77 @@ class KurtosisValue:
             raise ValueError(f"kurtosis {self.value} below the lower bound p={self.p}")
 
 
-def _mardia_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Statistic for a batch of samples, shape (R, p, N), plus a validity mask.
+def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sufficient statistics of B for every projection of a batch of
+    samples, shape (R, p, N).
 
-    Centers each sample, solves against each p x p covariance, and averages
-    the squared Mahalanobis norms. ``ok`` is False (and the value NaN) where
-    the covariance is numerically singular or the value overflows. The
-    condition number alone misses the scalar case (cond of a 1x1 matrix is
-    1 whatever its value), so the diagonal is checked as well.
+    Centers each sample and returns ``(s, whiten, m4)``: the biased
+    covariances S, shape (R, p, p); a whitening factor L = Q Lambda^{1/2}
+    from the eigendecomposition S = Q Lambda Q^T; and the fourth-moment
+    matrix M4 = (1/N) sum_n w(n) w(n)^T of the whitened sample
+    y = L^{-1} x, with w(n) = vec(y(n) y(n)^T), shape (R, p^2, p^2).
+
+    Whitening keeps the contraction in :func:`_projected_kurtosis` accurate
+    when the channels are strongly mixed. Any invertible L gives the same
+    statistic, so eigenvalues below eps * lambda_max are raised to that floor:
+    a singular S still yields a finite L, and a projection that avoids its
+    null space is still contracted in whitened coordinates.
     """
     x = batch - batch.mean(axis=2, keepdims=True)
-    n = x.shape[2]
-    s = np.einsum("rin,rjn->rij", x, x) / n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = np.linalg.cond(s)
-    diag = np.einsum("rii->ri", s)
-    ok = np.isfinite(cond) & (cond < _MAX_CONDITION) & np.all(diag > 0, axis=1)
-    s = np.where(ok[:, None, None], s, np.eye(s.shape[1]))
-    q = np.einsum("rin,rin->rn", np.linalg.solve(s, x), x)
-    values = np.mean(q * q, axis=1)
+    p, n = x.shape[1:]
+    s = x @ x.transpose(0, 2, 1) / n
+    lam, q = np.linalg.eigh(s)
+    scale = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[:, -1:]))
+    y = q.transpose(0, 2, 1) @ x
+    del x  # the sample-sized temporaries bound the peak memory of a realization
+    with np.errstate(invalid="ignore", divide="ignore"):  # S = 0: NaN, caught later
+        y /= scale[:, :, None]
+    # M4 from the p(p+1)/2 distinct entries of y y^T, expanded to all p^2
+    rows, cols = np.triu_indices(p)
+    w = np.empty((len(y), rows.size, n))
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(y[:, i], y[:, j], out=w[:, k])
+    pair = np.empty((p, p), dtype=int)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    pair = pair.ravel()
+    m4 = (w @ w.transpose(0, 2, 1) / n)[:, pair[:, None], pair]
+    return s, q * scale[:, None, :], m4
+
+
+def _projected_kurtosis(bases: np.ndarray,
+                        moments: tuple[np.ndarray, np.ndarray, np.ndarray],
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Statistic of every projection U x of every sample, shape (M, R), plus
+    a validity mask, from the ``moments`` of :func:`_fourth_moments`.
+
+    ``bases`` holds the M projection matrices U, shape (M, k, p). With
+    q(n) = x(n)^T U^T (U S U^T)^{-1} U x(n) = y(n)^T P y(n) and
+    P = (UL)^T (U S U^T)^{-1} (UL), the statistic is the contraction
+    vec(P)^T M4 vec(P). One eigendecomposition U S U^T = Q Lambda Q^T gives
+    both the degeneracy rule and P = G^T G with G = Lambda^{-1/2} Q^T (UL).
+    ``ok`` is False (and the value NaN) where U S U^T is numerically
+    singular, that is where its smallest eigenvalue is not a positive normal
+    float or its condition number is at least ``_MAX_CONDITION``, and where
+    the value overflows.
+    """
+    s, whiten, m4 = moments
+    u = bases[:, None]
+    lam, q = np.linalg.eigh(u @ s @ u.swapaxes(-1, -2))
+    ok = (lam[..., 0] >= np.finfo(float).tiny) & (lam[..., -1] < _MAX_CONDITION * lam[..., 0])
+    with np.errstate(invalid="ignore", divide="ignore"):  # NaN where not ok
+        g = (q.swapaxes(-1, -2) @ (u @ whiten)) / np.sqrt(lam)[..., None]
+        vec = (g.swapaxes(-1, -2) @ g).reshape(*ok.shape, -1)
+        values = np.sum((vec[..., None, :] @ m4)[..., 0, :] * vec, axis=-1)
     ok &= np.isfinite(values)
     values[~ok] = np.nan
     return values, ok
+
+
+def _mardia_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Statistic for a batch of samples, shape (R, p, N), plus a validity
+    mask: the identity-basis case of :func:`_projected_kurtosis`."""
+    values, ok = _projected_kurtosis(np.eye(batch.shape[1])[None], _fourth_moments(batch))
+    return values[0], ok[0]
 
 
 def mardia_kurtosis(x: TimeSeriesSample) -> KurtosisValue:

@@ -148,6 +148,11 @@ class TestInputErrors:
         path = self._config(tmp_path, calib_replicate=150)
         self._fails(capsys, ["experiment", "--config", str(path)], "calib_replicate")
 
+    def test_config_too_few_calibration_replicates(self, tmp_path, capsys):
+        path = self._config(tmp_path, source_dim=3, projection_dim=2,
+                            temporal_coloring=True, N=200, M=2, calib_replicates=1)
+        self._fails(capsys, ["experiment", "--config", str(path)], "calib_replicates")
+
     def test_kind_dimension_mismatch(self, tmp_path, capsys):
         out = _generate(tmp_path)
         self._fails(capsys, ["test", "--in", str(out), "--kind", "colored1"],

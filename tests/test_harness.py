@@ -17,8 +17,9 @@ from depnorm import (
 )
 from depnorm.copula import ar1_filter
 from depnorm.core import _cross_cov_fft
-from depnorm.harness import _ANGLES, _DATA, _draw_bases, _run_realization
+from depnorm.harness import _ANGLES, _DATA, _SURROGATE, _draw_bases, _run_realization
 from depnorm.kurtosis import _colored_scalar_moments, _mardia_batch
+from reference import direct_kurtosis
 
 GUMBEL = ArchimedeanFamily.gumbel()
 CLAYTON = ArchimedeanFamily.clayton()
@@ -31,6 +32,29 @@ def _colored1_pvalues(y, n, max_lag):
     b, _ = _mardia_batch(yc)
     mean, var = _colored_scalar_moments(_cross_cov_fft(yc, max_lag)[:, :, 0, 0], n)
     return dn.two_sided_p_value((b - mean) / np.sqrt(var))
+
+
+def _per_projection_colored2(cfg, r, stream):
+    """Colored bivariate p-values of one realization the direct way: project
+    the data and the shared surrogate batch through each basis in turn and
+    evaluate every projected sample with the plain reference."""
+    x = dn.center(dn.generate(dn.GeneratorConfig(cfg.family, cfg.source_dim, cfg.n,
+                                                 ar_coefficient=cfg.ar_coefficient,
+                                                 n_drop=cfg.n_drop),
+                              stream.substream(_DATA, r)))
+    bases = _draw_bases(cfg, stream.substream(_ANGLES, r).generator())
+    surrogate = dn.GaussianSurrogate(dn.sample_cross_covariance(x, cfg.n - 1), cfg.n)
+    z = dn.simulate_gaussian_batch(surrogate, stream.substream(_SURROGATE, r),
+                                   cfg.calib_replicates)
+    pvalues, valid = np.full(cfg.m, np.nan), np.zeros(cfg.m, dtype=bool)
+    for m, u in enumerate(bases):
+        b_data, ok_data = direct_kurtosis((u @ x.data)[None])
+        b_null, ok_null = direct_kurtosis(np.einsum("kp,rpn->rkn", u, z))
+        valid[m] = ok_data[0] and ok_null.all()
+        if valid[m]:
+            z_score = (b_data[0] - b_null.mean()) / b_null.std(ddof=1)
+            pvalues[m] = dn.two_sided_p_value(z_score)
+    return pvalues, valid
 
 
 def _tiny_config(**overrides):
@@ -68,6 +92,12 @@ class TestExperimentConfig:
         ExperimentConfig(GUMBEL, 2, 1, True, n=300, m=5, max_lag=0)
         with pytest.raises(ValueError, match="max_lag"):
             ExperimentConfig(GUMBEL, 2, 1, True, n=300, m=5, max_lag=-5)
+
+    def test_too_few_calibration_replicates_rejected(self):
+        # the null variance divides by R - 1
+        ExperimentConfig(GUMBEL, 3, 2, True, n=200, m=2, calib_replicates=2)
+        with pytest.raises(ValueError, match="calib_replicates"):
+            ExperimentConfig(GUMBEL, 3, 2, True, n=200, m=2, calib_replicates=1)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -220,6 +250,36 @@ class TestPipelineMatchesPublicApi:
         assert ok.all()
         se = b.std(ddof=1) / np.sqrt(b.size)
         assert abs(b.mean() - direct.mean) < 3 * np.hypot(se, se)
+
+
+class TestProjectionEngine:
+    """The colored bivariate branch contracts one fourth-moment build per
+    realization against every basis; it must give the p-values of the
+    direct per-projection evaluation."""
+
+    @pytest.mark.parametrize("source_dim", [3, 2])
+    def test_colored2_matches_per_projection_loop(self, source_dim):
+        cfg = _tiny_config(source_dim=source_dim, projection_dim=2,
+                           temporal_coloring=True, m=10)
+        stream = RngStream(cfg.seed, 0)
+        pvalues, valid = _run_realization(cfg, 1, stream)
+        ref, ref_valid = _per_projection_colored2(cfg, 1, stream)
+        np.testing.assert_array_equal(valid, ref_valid)
+        assert valid.all()
+        got = pvalues[TestKind.COLORED_BIVARIATE]
+        np.testing.assert_allclose(got, ref, rtol=1e-9)
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        cfg = _tiny_config(source_dim=3, projection_dim=2, temporal_coloring=True,
+                           m=15, calib_replicates=120)
+        runs = []
+        for block in (1, 7, cfg.m):
+            monkeypatch.setattr("depnorm.harness._BASIS_BLOCK", block)
+            runs.append(_run_realization(cfg, 0, RngStream(cfg.seed, 0)))
+        for pvalues, valid in runs[1:]:
+            np.testing.assert_array_equal(valid, runs[0][1])
+            np.testing.assert_array_equal(pvalues[TestKind.COLORED_BIVARIATE],
+                                          runs[0][0][TestKind.COLORED_BIVARIATE])
 
 
 class TestNullSize:

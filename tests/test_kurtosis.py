@@ -25,7 +25,9 @@ from depnorm import (
     sample_cross_covariance,
     two_sided_p_value,
 )
-from depnorm.kurtosis import KurtosisValue
+from depnorm.kurtosis import KurtosisValue, _fourth_moments, _projected_kurtosis
+from depnorm.projection import rotation_matrix, sample_direction, sample_plane, sample_rotation
+from reference import direct_kurtosis
 
 
 def _scalar_cov(ratios, s0=1.0):
@@ -89,6 +91,64 @@ class TestMardiaKurtosis:
     def test_lower_bound_enforced(self):
         with pytest.raises(ValueError):
             KurtosisValue(1.5, 2, 100)
+
+
+# (source dim, draw of one basis): lines, planes, in-plane rotations and the
+# identity, the last being the case run_test evaluates.
+_BASES = {
+    "line": (2, lambda gen: sample_direction(gen).vector()[None, :]),
+    "plane": (3, lambda gen: sample_plane(gen).basis()),
+    "rotation": (2, lambda gen: rotation_matrix(sample_rotation(gen))),
+    "identity": (3, lambda gen: np.eye(3)),
+}
+
+
+def _mixed_batch(gen, p, cond, r=4, n=400):
+    """Heavy-tailed samples mixed so that their covariance has condition
+    number about ``cond``."""
+    q1, _ = np.linalg.qr(gen.standard_normal((p, p)))
+    q2, _ = np.linalg.qr(gen.standard_normal((p, p)))
+    mix = q1 @ np.diag(np.logspace(0, -0.5 * np.log10(cond), p)) @ q2
+    return np.einsum("ij,rjn->rin", mix, gen.standard_t(5, size=(r, p, n)))
+
+
+class TestProjectedKurtosis:
+    """The contraction of the fourth moments against a plain per-sample
+    evaluation of every projected sample."""
+
+    def _check(self, bases, batch):
+        values, ok = _projected_kurtosis(bases, _fourth_moments(batch))
+        assert values.shape == ok.shape == (len(bases), len(batch))
+        for m, u in enumerate(bases):
+            ref, ref_ok = direct_kurtosis(np.einsum("kp,rpn->rkn", u, batch))
+            np.testing.assert_array_equal(ok[m], ref_ok)
+            np.testing.assert_allclose(values[m][ok[m]], ref[ref_ok], rtol=1e-9)
+            assert np.isnan(values[m][~ok[m]]).all()
+        return ok
+
+    @pytest.mark.parametrize("kind", sorted(_BASES))
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6])
+    def test_matches_direct_reference(self, kind, cond):
+        gen = RngStream(31).generator()
+        p, draw = _BASES[kind]
+        bases = np.array([draw(gen) for _ in range(6)])
+        assert self._check(bases, _mixed_batch(gen, p, cond)).all()
+
+    def test_degenerate_sources(self):
+        # a constant sample fails every projection; with one channel the sum
+        # of the other two, only the planes that miss the null direction pass
+        gen = RngStream(32).generator()
+        z = gen.standard_normal((2, 400))
+        batch = np.stack([np.vstack([z, z.sum(axis=0)]), np.ones((3, 400)),
+                          _mixed_batch(gen, 3, 10.0, r=1)[0]])
+        null_dir = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
+        planes = [sample_plane(gen).basis() for _ in range(5)]
+        planes.append(np.linalg.qr(np.column_stack([null_dir, [1.0, 0, 0]]))[0].T)
+        ok = self._check(np.array(planes), batch)
+        np.testing.assert_array_equal(ok[:, 0], [True] * 5 + [False])
+        assert not ok[:, 1].any() and ok[:, 2].all()
+        ok = self._check(np.eye(3)[None], batch)
+        np.testing.assert_array_equal(ok[0], [False, False, True])
 
 
 class TestIidNullMoments:
