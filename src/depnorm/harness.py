@@ -5,8 +5,8 @@ The protocol per realization: draw one copula sample, project it M times
 (random directions for bivariate data, random planes for trivariate data,
 random in-plane rotations for the bivariate joint test), run each requested
 test on each projection, and report rejection counts per significance
-level. Covariance sequences are re-estimated per projection from the
-projected data.
+level. The source covariance sequence S(tau) is estimated once per
+realization, and both colored nulls of every projection come from it.
 
 The statistic of a projection U x depends on the sample only through its
 covariance S and its fourth-moment matrix M4 (Mardia 1970). Each sample is
@@ -14,9 +14,11 @@ therefore reduced once to (S, M4), with M4 taken in whitened coordinates so
 that strongly mixed channels lose no precision, and every projection's
 statistic is a contraction of M4 with vec(P), where the p x p matrix P is
 built from U, S and the whitening factor (``kurtosis._fourth_moments`` and
-``kurtosis._projected_kurtosis``). The
-data statistic of all M projections comes from one such reduction; the
-projected data themselves are formed only for the colored scalar lag sums.
+``kurtosis._projected_kurtosis``). The data statistic of all M projections
+comes from one such reduction. The lag-tau autocovariance of a scalar
+projection u x is u S(tau) u^T, so the colored scalar lag sums are
+contractions of the source sequence too, and the projected data are never
+formed.
 
 For the calibrated bivariate test the M per-projection nulls share one
 batch of source-dimension Gaussian replicates per realization: projecting
@@ -39,13 +41,7 @@ import numpy as np
 
 from .calibrate import GaussianSurrogate, _moments_with_errors, simulate_gaussian_batch
 from .copula import ArchimedeanFamily, GeneratorConfig, generate
-from .core import (
-    RngStream,
-    _cross_cov_fft,
-    center,
-    resolve_max_lag,
-    sample_cross_covariance,
-)
+from .core import RngStream, center, resolve_max_lag, sample_cross_covariance
 from .kurtosis import (
     TestKind,
     _colored_scalar_moments,
@@ -172,7 +168,7 @@ class ExperimentConfig:
                 if self.projection_dim == 1 else (TestKind.COLORED_BIVARIATE,)
             ))
         for kind in self.tests:
-            kind.check_dim(self.projection_dim)
+            kind.check_dim(self.projection_dim, self.n)
 
     def to_dict(self) -> dict:
         out = {"family": self.family.kind, "rho": self.family.rho}
@@ -265,12 +261,12 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
                               temporal_coloring=cfg.temporal_coloring)
     x = generate(gen_cfg, stream.substream(_DATA, r))
     xc = center(x)
+    cov = sample_cross_covariance(xc, resolve_max_lag(cfg.max_lag, cfg.n))
     bases = _draw_bases(cfg, stream.substream(_ANGLES, r).generator())
 
     pvalues: dict[TestKind, np.ndarray] = {}
     b_data, valid = _projected_kurtosis(bases, _fourth_moments(xc.data[None]))
     b_data, valid = b_data[:, 0], valid[:, 0]
-    max_lag = resolve_max_lag(cfg.max_lag, cfg.n)
 
     for kind in cfg.tests:
         # null (mean, var): scalars for iid, per-projection arrays otherwise
@@ -278,12 +274,10 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
             mom = iid_null_moments(cfg.projection_dim, cfg.n)
             mean, var = mom.mean, mom.variance
         elif kind == TestKind.COLORED_SCALAR:
-            projected = np.einsum("mkp,pn->mkn", bases, xc.data)
-            yc = projected - projected.mean(axis=2, keepdims=True)
-            lags = _cross_cov_fft(yc, max_lag)[:, :, 0, 0]
-            mean, var = _colored_scalar_moments(lags, cfg.n)
+            u = bases[:, 0]
+            mean, var = _colored_scalar_moments(
+                np.einsum("mp,tpq,mq->mt", u, cov.lags, u), cfg.n)
         else:
-            cov = sample_cross_covariance(xc, max_lag)
             surrogate = GaussianSurrogate(cov, cfg.n)
             null = _fourth_moments(simulate_gaussian_batch(
                 surrogate, stream.substream(_SURROGATE, r), cfg.calib_replicates

@@ -59,12 +59,19 @@ class TestKind(enum.Enum):
     COLORED_SCALAR = "colored1"
     COLORED_BIVARIATE = "colored2"
 
-    def check_dim(self, p: int) -> None:
-        """Raise ``ValueError`` unless this kind runs on p-variate data
-        (``iid`` runs on any p)."""
+    def check_dim(self, p: int, n: int) -> None:
+        """Raise ``ValueError`` unless this kind runs on a p-variate sample
+        of length N (``iid`` runs on any p >= 1).
+
+        Every kind needs N >= p + 2: at N = p + 1 the centered sample spans
+        exactly p dimensions, so every q(n) equals N - 1 and B_p = p^2
+        whatever the data.
+        """
         need = {TestKind.COLORED_SCALAR: 1, TestKind.COLORED_BIVARIATE: 2}.get(self)
         if need is not None and p != need:
             raise ValueError(f"{self.value} requires p={need}, got p={p}")
+        if p < 1 or n < p + 2:
+            raise ValueError(f"{self.value} needs p >= 1 and N >= p+2, got p={p}, N={n}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +169,7 @@ def mardia_kurtosis(x: TimeSeriesSample) -> KurtosisValue:
 
 def iid_null_moments(p: int, n: int) -> NullMoments:
     """Asymptotic null mean p(p+2)(N-1)/(N+1) and variance 8p(p+2)/N."""
-    if p < 1 or n < 2:
-        raise ValueError("need p >= 1 and N >= 2")
+    TestKind.MARDIA_IID.check_dim(p, n)
     return NullMoments(
         mean=p * (p + 2) * (n - 1) / (n + 1),
         variance=8.0 * p * (p + 2) / n,
@@ -194,7 +200,7 @@ def _colored_scalar_moments(lags: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
 def colored_scalar_null_moments(cov: CovarianceSequence, n: int) -> NullMoments:
     """Null moments of B_1 for a stationary scalar process, from the lags
     of ``cov`` up to N-1 (see :func:`_colored_scalar_moments`)."""
-    TestKind.COLORED_SCALAR.check_dim(cov.p)
+    TestKind.COLORED_SCALAR.check_dim(cov.p, n)
     s0 = cov.lags[0, 0, 0]
     if not s0 > 0:
         raise DegenerateSampleError(f"S(0) must be positive, got {s0}")
@@ -215,7 +221,7 @@ def colored_bivariate_null_moments(cov: CovarianceSequence, n: int, budget=None)
     """
     from .calibrate import GaussianSurrogate, calibrate_null
 
-    TestKind.COLORED_BIVARIATE.check_dim(cov.p)
+    TestKind.COLORED_BIVARIATE.check_dim(cov.p, n)
     max_lag = resolve_max_lag(cov.max_lag, n)
     surrogate = GaussianSurrogate(cov.truncated(max_lag), n)
     result = calibrate_null(surrogate, budget=budget)
@@ -250,7 +256,7 @@ def run_test(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    kind.check_dim(x.p)
+    kind.check_dim(x.p, x.n)
 
     stat = mardia_kurtosis(x)
     if kind == TestKind.MARDIA_IID:

@@ -20,3 +20,18 @@ def direct_kurtosis(batch):
             q = np.sum(x * np.linalg.solve(s, x), axis=0)
             values[r], ok[r] = np.mean(q**2), True
     return values, ok
+
+
+def direct_scalar_lags(x, bases, max_lag):
+    """Autocovariances S(0..max_lag) of each scalar projection u x of the
+    (p, N) sample ``x``, shape (M, max_lag + 1), the textbook way: project
+    onto each line of ``bases`` (M, 1, p), center, and take one dot product
+    per lag with the 1/N normalization."""
+    n = x.shape[1]
+    out = np.empty((len(bases), max_lag + 1))
+    for m, u in enumerate(bases):
+        y = u[0] @ x
+        y = y - y.mean()
+        for tau in range(max_lag + 1):
+            out[m, tau] = np.dot(y[: n - tau], y[tau:]) / n
+    return out

@@ -47,3 +47,5 @@ def test_tracer_sees_every_projection_draw(source_dim, projection_dim):
     with tracer.installed():
         run_experiment(cfg)
     assert tracer.spans[("projection", "draw")][0] == cfg.m * cfg.realizations
+    # one covariance sequence per realization serves every projection
+    assert tracer.spans[("core", "cross_cov")][0] == cfg.realizations

@@ -158,6 +158,12 @@ class TestInputErrors:
         self._fails(capsys, ["test", "--in", str(out), "--kind", "colored1"],
                     "colored1 requires p=1, got p=2")
 
+    def test_sample_too_short(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        write_csv(TimeSeriesSample(np.array([[0.0, 1.0, 3.0], [2.0, -1.0, 0.5]])), short)
+        self._fails(capsys, ["test", "--in", str(short), "--kind", "colored2"],
+                    "colored2 needs p >= 1 and N >= p+2, got p=2, N=3")
+
     def test_missing_input_file(self, tmp_path, capsys):
         self._fails(capsys, ["test", "--in", str(tmp_path / "absent.csv")], "absent.csv")
 

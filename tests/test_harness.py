@@ -19,7 +19,7 @@ from depnorm.copula import ar1_filter
 from depnorm.core import _cross_cov_fft
 from depnorm.harness import _ANGLES, _DATA, _SURROGATE, _draw_bases, _run_realization
 from depnorm.kurtosis import _colored_scalar_moments, _mardia_batch
-from reference import direct_kurtosis
+from reference import direct_kurtosis, direct_scalar_lags
 
 GUMBEL = ArchimedeanFamily.gumbel()
 CLAYTON = ArchimedeanFamily.clayton()
@@ -27,7 +27,8 @@ CLAYTON = ArchimedeanFamily.clayton()
 
 def _colored1_pvalues(y, n, max_lag):
     """Colored scalar p-values for each row of ``y`` from the batch kernel
-    and the shared closed form, as the harness computes them."""
+    and the shared closed form, with each row's lag sums taken from its own
+    FFT autocovariance."""
     yc = (y - y.mean(axis=1, keepdims=True))[:, None, :]
     b, _ = _mardia_batch(yc)
     mean, var = _colored_scalar_moments(_cross_cov_fft(yc, max_lag)[:, :, 0, 0], n)
@@ -102,6 +103,13 @@ class TestExperimentConfig:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(GUMBEL, 2, 1, True, n=100, m=5, alphas=(0.05, 1.5))
+
+    @pytest.mark.parametrize("src, proj", [(2, 1), (3, 2), (2, 2)])
+    def test_too_short_rejected(self, src, proj):
+        # the rule is on the projected sample: N >= projection_dim + 2
+        ExperimentConfig(GUMBEL, src, proj, True, n=proj + 2, m=5)
+        with pytest.raises(ValueError, match=r"N >= p\+2"):
+            ExperimentConfig(GUMBEL, src, proj, True, n=proj + 1, m=5)
 
     def test_dict_round_trip(self):
         cfg = _tiny_config(alphas=(0.01, 0.05), max_lag=30)
@@ -268,6 +276,27 @@ class TestProjectionEngine:
         assert valid.all()
         got = pvalues[TestKind.COLORED_BIVARIATE]
         np.testing.assert_allclose(got, ref, rtol=1e-9)
+
+    @pytest.mark.parametrize("max_lag", [None, 30])
+    def test_colored1_matches_plain_lag_sums(self, max_lag):
+        # the harness contracts the source covariance sequence; the reference
+        # projects the data and sums lagged products directly
+        cfg = _tiny_config(family=CLAYTON, temporal_coloring=True, max_lag=max_lag)
+        stream = RngStream(cfg.seed, 0)
+        pvalues, valid = _run_realization(cfg, 1, stream)
+        x = dn.center(dn.generate(dn.GeneratorConfig(cfg.family, 2, cfg.n,
+                                                     ar_coefficient=cfg.ar_coefficient,
+                                                     n_drop=cfg.n_drop),
+                                  stream.substream(_DATA, 1))).data
+        bases = _draw_bases(cfg, stream.substream(_ANGLES, 1).generator())
+        b, ok = direct_kurtosis(bases @ x)
+        lags = direct_scalar_lags(x, bases, cfg.n - 1 if max_lag is None else max_lag)
+        mean, var = _colored_scalar_moments(lags, cfg.n)
+        np.testing.assert_array_equal(valid, ok)
+        assert valid.all()
+        np.testing.assert_allclose(pvalues[TestKind.COLORED_SCALAR],
+                                   dn.two_sided_p_value((b - mean) / np.sqrt(var)),
+                                   rtol=1e-9)
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         cfg = _tiny_config(source_dim=3, projection_dim=2, temporal_coloring=True,

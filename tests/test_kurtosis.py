@@ -364,6 +364,33 @@ class TestRunTest:
             ExperimentConfig(family, 2, 1, True, n=100, m=5,
                              tests=(TestKind.COLORED_BIVARIATE,))
 
+    @pytest.mark.parametrize("kind, p", [
+        (TestKind.MARDIA_IID, 1), (TestKind.MARDIA_IID, 3),
+        (TestKind.COLORED_SCALAR, 1), (TestKind.COLORED_BIVARIATE, 2),
+    ])
+    def test_minimum_length(self, kind, p):
+        # at N = p+1 the centered sample spans p dimensions and B_p = p^2
+        # whatever the data
+        gen = RngStream(103).generator()
+        budget = CalibrationBudget(replicates=200, seed=RngStream(107))
+        short = TimeSeriesSample(gen.standard_normal((p, p + 1)))
+        with pytest.raises(ValueError, match=rf"{kind.value} needs p >= 1 and N >= p\+2"):
+            run_test(short, kind, 0.05, budget=budget)
+        rep = run_test(TimeSeriesSample(gen.standard_normal((p, p + 2))), kind, 0.05,
+                       budget=budget)
+        fields = (rep.statistic, rep.z, rep.p_value,
+                  rep.null_moments.mean, rep.null_moments.variance)
+        assert np.all(np.isfinite(fields))
+
+    def test_minimum_length_in_every_layer(self):
+        rule = r"needs p >= 1 and N >= p\+2"
+        with pytest.raises(ValueError, match=rule):
+            iid_null_moments(2, 3)
+        with pytest.raises(ValueError, match=rule):
+            colored_scalar_null_moments(_scalar_cov([0.1]), 2)
+        with pytest.raises(ValueError, match=rule):
+            colored_bivariate_null_moments(CovarianceSequence(np.eye(2)[None]), 3)
+
     def test_alpha_validated(self):
         x = TimeSeriesSample(RngStream(71).generator().standard_normal((1, 100)))
         for bad in (0.0, 1.0, -0.1):
