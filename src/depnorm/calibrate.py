@@ -7,16 +7,18 @@ matrices are eigen-factored per frequency (negative eigenvalues clipped and
 accounted for), and samples come out of one inverse FFT. Each complex draw
 yields two independent real replicates.
 
-:func:`calibrate_null` then estimates the mean and variance of the kurtosis
-statistic over independent surrogate replicates, with standard errors for
-both.
+One Monte Carlo estimator, :func:`_replicate_moments`, gives every projection
+the mean and variance of its statistic over the replicates, with standard
+errors, contracting the projections in fixed blocks of ``_BASIS_BLOCK``.
+:func:`calibrate_null` is its identity-basis case; the study harness passes
+its M projections.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -27,7 +29,7 @@ from .core import (
     DegenerateSampleError,
     RngStream,
 )
-from .kurtosis import _DEGENERATE_MESSAGE, _mardia_batch
+from .kurtosis import _DEGENERATE_MESSAGE, _fourth_moments, _projected_kurtosis
 
 __all__ = [
     "CalibrationBudget",
@@ -41,6 +43,12 @@ logger = logging.getLogger(__name__)
 
 # Replicates per RNG substream; fixed so results never depend on scheduling.
 _CHUNK = 256
+
+# Projections contracted at once; fixed so peak memory does not grow with M.
+_BASIS_BLOCK = 64
+
+# Fewest replicates of any Monte Carlo null, in a budget or a study config.
+MIN_REPLICATES = 100
 
 # Negative spectral mass below this relative size is treated as rounding;
 # anything above 1% of the spectral norm aborts the calibration.
@@ -56,8 +64,8 @@ class CalibrationBudget:
     seed: RngStream = field(default_factory=lambda: RngStream(0, 0))
 
     def __post_init__(self) -> None:
-        if self.replicates < 100:
-            raise ValueError("moment estimates need at least 100 replicates")
+        if self.replicates < MIN_REPLICATES:
+            raise ValueError(f"moment estimates need at least {MIN_REPLICATES} replicates")
 
 
 class GaussianSurrogate:
@@ -125,20 +133,9 @@ class CalibrationResult:
     se_variance: float
     replicates: int
     clipping_norm: float
-    quantiles: dict[float, float] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "mean": self.mean,
-            "variance": self.variance,
-            "se_mean": self.se_mean,
-            "se_variance": self.se_variance,
-            "replicates": self.replicates,
-            "clipping_norm": self.clipping_norm,
-        }
-        if self.quantiles is not None:
-            out["quantiles"] = {str(k): v for k, v in self.quantiles.items()}
-        return out
+        return asdict(self)
 
 
 def _moments_with_errors(values: np.ndarray) -> tuple[float, float, float, float]:
@@ -158,36 +155,41 @@ def _moments_with_errors(values: np.ndarray) -> tuple[float, float, float, float
     return mean, variance, se_mean, se_var
 
 
-def calibrate_null(
-    surrogate: GaussianSurrogate,
-    budget: CalibrationBudget | None = None,
-    quantile_probs=None,
-) -> CalibrationResult:
-    """Estimate null moments of the kurtosis statistic over surrogate
-    replicates.
+def _replicate_moments(bases: np.ndarray,
+                       null: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Mean, variance, se_mean and se_variance of the statistic of each
+    projection U z over the replicates z, shape (4, M), from the M bases
+    (M, k, p) and the ``kurtosis._fourth_moments`` reduction ``null`` of the
+    replicates, contracted in blocks of ``_BASIS_BLOCK``. A column is NaN
+    where the projection of any replicate is degenerate."""
+    out = np.full((4, len(bases)), np.nan)
+    for start in range(0, len(bases), _BASIS_BLOCK):
+        values, ok = _projected_kurtosis(bases[start : start + _BASIS_BLOCK], null)
+        for m, (row, row_ok) in enumerate(zip(values, ok), start):
+            if row_ok.all():
+                out[:, m] = _moments_with_errors(row)
+    return out
 
-    The statistic is evaluated on whole batches at once. Replicates are
-    drawn in fixed-size chunks, one RNG substream per chunk, so the result
-    is independent of execution order and reproducible from the budget seed.
+
+def calibrate_null(surrogate: GaussianSurrogate,
+                   budget: CalibrationBudget | None = None) -> CalibrationResult:
+    """Null moments of the kurtosis statistic over surrogate replicates: the
+    identity-basis case of :func:`_replicate_moments`.
+
+    Replicates are drawn in fixed-size chunks, one RNG substream per chunk,
+    so the result is reproducible from the budget seed, and each chunk is
+    reduced to its fourth moments as soon as it is drawn. Raises
+    ``DegenerateSampleError`` if any replicate is degenerate.
     """
-    if budget is None:
-        budget = CalibrationBudget()
-    values = np.empty(budget.replicates)
-    done = 0
-    chunk_index = 0
-    while done < budget.replicates:
-        take = min(_CHUNK, budget.replicates - done)
-        rng = budget.seed.substream(chunk_index)
-        batch_values, ok = _mardia_batch(simulate_gaussian_batch(surrogate, rng, take))
-        if not np.all(ok):
-            raise DegenerateSampleError(_DEGENERATE_MESSAGE)
-        values[done : done + take] = batch_values
-        done += take
-        chunk_index += 1
-    mean, variance, se_mean, se_var = _moments_with_errors(values)
-    quantiles = None
-    if quantile_probs is not None:
-        qs = np.quantile(values, list(quantile_probs))
-        quantiles = {float(q): float(v) for q, v in zip(quantile_probs, qs)}
-    return CalibrationResult(mean, variance, se_mean, se_var,
-                             budget.replicates, surrogate.clipping_norm, quantiles)
+    budget = budget or CalibrationBudget()
+    parts = []
+    for i, start in enumerate(range(0, budget.replicates, _CHUNK)):
+        take = min(_CHUNK, budget.replicates - start)
+        parts.append(_fourth_moments(
+            simulate_gaussian_batch(surrogate, budget.seed.substream(i), take)))
+    null = tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    moments = _replicate_moments(np.eye(surrogate.p)[None], null)[:, 0]
+    if np.isnan(moments[0]):
+        raise DegenerateSampleError(_DEGENERATE_MESSAGE)
+    return CalibrationResult(*map(float, moments), budget.replicates,
+                             surrogate.clipping_norm)

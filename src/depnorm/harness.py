@@ -25,8 +25,9 @@ batch of source-dimension Gaussian replicates per realization: projecting
 Gaussian replicates matched to the source covariance sequence gives, for
 every projection matrix U, a Gaussian process whose covariance sequence is
 exactly U S(tau) U^T, the same law the per-projection surrogate would have.
-The batch is reduced to (S, M4) per replicate once, and the bases are
-contracted against it in fixed blocks of ``_BASIS_BLOCK``, so a realization
+The batch is reduced to (S, M4) per replicate once, and the estimator of
+``calibrate_null``, ``calibrate._replicate_moments``, contracts the bases
+against it in fixed blocks of ``calibrate._BASIS_BLOCK``, so a realization
 costs one pass over the replicates plus O(M R p^4), and its peak memory does
 not grow with M.
 """
@@ -39,7 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import GaussianSurrogate, _moments_with_errors, simulate_gaussian_batch
+from .calibrate import (MIN_REPLICATES, GaussianSurrogate, _replicate_moments,
+                        simulate_gaussian_batch)
 from .copula import ArchimedeanFamily, GeneratorConfig, generate
 from .core import RngStream, center, resolve_max_lag, sample_cross_covariance
 from .kurtosis import (
@@ -65,10 +67,6 @@ DEFAULT_SEED = 16
 
 # Substream tags for the per-realization RNG layout.
 _DATA, _ANGLES, _SURROGATE = 1, 2, 3
-
-# Projections contracted against the null moments at once; fixed so that
-# peak memory does not grow with M.
-_BASIS_BLOCK = 64
 
 # Reference rejection rates, by table / copula / test / alpha.
 PAPER_RATES: dict[str, dict[str, dict[str, dict[float, float]]]] = {
@@ -159,8 +157,9 @@ class ExperimentConfig:
             raise ValueError("all alphas must lie in (0, 1)")
         if self.m < 1 or self.realizations < 1:
             raise ValueError("M and realizations must be positive")
-        if self.calib_replicates < 2:
-            raise ValueError("calib_replicates must be at least 2 for a null variance")
+        if self.calib_replicates < MIN_REPLICATES:
+            raise ValueError(f"calib_replicates must be at least {MIN_REPLICATES}, "
+                             f"got {self.calib_replicates}")
         resolve_max_lag(self.max_lag, self.n)  # raises for a negative max_lag
         if self.tests is None:
             object.__setattr__(self, "tests", (
@@ -282,14 +281,8 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
             null = _fourth_moments(simulate_gaussian_batch(
                 surrogate, stream.substream(_SURROGATE, r), cfg.calib_replicates
             ))
-            mean, var = np.full(cfg.m, np.nan), np.full(cfg.m, np.nan)
-            for start in range(0, cfg.m, _BASIS_BLOCK):
-                b_null, ok_null = _projected_kurtosis(bases[start : start + _BASIS_BLOCK], null)
-                for m, (values, ok) in enumerate(zip(b_null, ok_null), start):
-                    if ok.all():
-                        mean[m], var[m], _, _ = _moments_with_errors(values)
-                    else:
-                        valid[m] = False
+            mean, var, _, _ = _replicate_moments(bases, null)
+            valid &= np.isfinite(mean)
         pvalues[kind] = two_sided_p_value((b_data - mean) / np.sqrt(var))
 
     return pvalues, valid
@@ -299,8 +292,8 @@ def run_experiment(cfg: ExperimentConfig) -> RejectionRateReport:
     """Run the full protocol and count rejections per realization.
 
     Rates use the protocol's plain ratio rejections / M; projections whose
-    covariance degenerates are skipped, counted per realization, and count
-    as non-rejections.
+    covariance degenerates, on the data or on any calibration replicate, are
+    skipped, counted per realization, and count as non-rejections.
     """
     stream = RngStream(cfg.seed, 0)
     counts, skipped = [], []

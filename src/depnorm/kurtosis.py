@@ -63,15 +63,16 @@ class TestKind(enum.Enum):
         """Raise ``ValueError`` unless this kind runs on a p-variate sample
         of length N (``iid`` runs on any p >= 1).
 
-        Every kind needs N >= p + 2: at N = p + 1 the centered sample spans
-        exactly p dimensions, so every q(n) equals N - 1 and B_p = p^2
-        whatever the data.
+        Every kind needs N >= max(p + 2, 4), or B_p is fixed whatever the
+        data: B_p = p^2 at N = p + 1, and B_1 = 3/2 at N = 3 (the centered
+        values satisfy a^4 + b^4 + c^4 = (a^2 + b^2 + c^2)^2 / 2).
         """
         need = {TestKind.COLORED_SCALAR: 1, TestKind.COLORED_BIVARIATE: 2}.get(self)
         if need is not None and p != need:
             raise ValueError(f"{self.value} requires p={need}, got p={p}")
-        if p < 1 or n < p + 2:
-            raise ValueError(f"{self.value} needs p >= 1 and N >= p+2, got p={p}, N={n}")
+        if p < 1 or n < max(p + 2, 4):
+            raise ValueError(f"{self.value} needs p >= 1 and N >= p+2, got p={p}, N={n} "
+                             f"(and N >= 4 at p=1)")
 
 
 @dataclass(frozen=True)

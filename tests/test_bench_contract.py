@@ -42,10 +42,27 @@ def test_tracer_sees_every_projection_draw(source_dim, projection_dim):
     from depnorm import ArchimedeanFamily, ExperimentConfig, run_experiment
 
     cfg = ExperimentConfig(ArchimedeanFamily.gumbel(), source_dim, projection_dim,
-                           True, n=200, m=3, realizations=2, calib_replicates=20)
+                           True, n=200, m=3, realizations=2, calib_replicates=100)
     tracer = _tracing().Tracer()
     with tracer.installed():
         run_experiment(cfg)
     assert tracer.spans[("projection", "draw")][0] == cfg.m * cfg.realizations
     # one covariance sequence per realization serves every projection
     assert tracer.spans[("core", "cross_cov")][0] == cfg.realizations
+    if projection_dim == 2:
+        # and one replicate batch per realization serves every projection's null
+        assert tracer.replicates_drawn == cfg.calib_replicates * cfg.realizations
+        assert tracer.spans[("calibrate", "draw")][0] == cfg.realizations
+
+
+def test_tracer_sees_the_calibration_of_one_test():
+    from depnorm import CalibrationBudget, RngStream, TestKind, TimeSeriesSample
+
+    x = TimeSeriesSample(RngStream(61).generator().standard_normal((2, 200)))
+    budget = CalibrationBudget(replicates=300, seed=RngStream(67))
+    tracer = _tracing().Tracer()
+    with tracer.installed():
+        kurtosis = importlib.import_module("depnorm.kurtosis")
+        kurtosis.run_test(x, TestKind.COLORED_BIVARIATE, 0.05, budget=budget)
+    assert tracer.spans[("calibrate", "null_stat")][0] == 1
+    assert tracer.replicates_drawn == budget.replicates

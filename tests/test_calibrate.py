@@ -18,6 +18,10 @@ from depnorm import (
     resolve_max_lag,
     simulate_gaussian_batch,
 )
+from depnorm.calibrate import _CHUNK, _moments_with_errors, _replicate_moments
+from depnorm.kurtosis import _fourth_moments, _mardia_batch
+from depnorm.projection import sample_plane
+from reference import direct_kurtosis
 
 
 def _ar1_cov(a, max_lag, p=1, s0=1.0):
@@ -165,17 +169,6 @@ class TestCalibrateNull:
         with pytest.raises(DegenerateSampleError):
             calibrate_null(sur, budget=CalibrationBudget(replicates=100, seed=RngStream(43)))
 
-    def test_kurtosis_quantiles(self):
-        sur = GaussianSurrogate(_white_cov(1), 300)
-        res = calibrate_null(
-            sur, budget=CalibrationBudget(replicates=400, seed=RngStream(43)),
-            quantile_probs=(0.1, 0.5, 0.9),
-        )
-        qs = res.quantiles
-        assert qs is not None and qs[0.1] < qs[0.5] < qs[0.9]
-        assert qs[0.1] < res.mean < qs[0.9]
-        assert "quantiles" in res.to_dict()
-
     def test_json_record_fields(self):
         sur = GaussianSurrogate(_white_cov(1), 200)
         res = calibrate_null(sur, budget=CalibrationBudget(replicates=200, seed=RngStream(47)))
@@ -184,3 +177,51 @@ class TestCalibrateNull:
             "mean", "variance", "se_mean", "se_variance", "replicates",
             "clipping_norm",
         }
+
+
+class TestReplicateMoments:
+    def test_matches_plain_moments_per_projection(self, monkeypatch):
+        # collinear 3-D replicates, channel 3 = channel 1 + channel 2: a
+        # plane that contains the null direction (1, 1, -1) is degenerate;
+        # a block of 4 puts degenerate planes in two blocks
+        monkeypatch.setattr("depnorm.calibrate._BASIS_BLOCK", 4)
+        gen = RngStream(53).generator()
+        z = gen.standard_normal((150, 3, 120))
+        z[:, 2] = z[:, 0] + z[:, 1]
+        null_dir = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
+        planes = [sample_plane(gen).basis() for _ in range(6)]
+        for _ in range(3):
+            w = gen.standard_normal(3)
+            w -= (w @ null_dir) * null_dir
+            planes.append(np.array([null_dir, w / np.linalg.norm(w)]))
+        bases = np.array(planes)
+        got = _replicate_moments(bases, _fourth_moments(z))
+        assert got.shape == (4, len(bases))
+        for m, u in enumerate(bases):
+            values, ok = direct_kurtosis(np.einsum("kp,rpn->rkn", u, z))
+            if m >= 6:
+                assert not ok.all() and np.all(np.isnan(got[:, m]))
+                continue
+            assert ok.all()
+            var = values.var(ddof=1)
+            np.testing.assert_allclose(
+                got[:3, m], [values.mean(), var, math.sqrt(var / values.size)],
+                rtol=1e-9)
+            assert np.isfinite(got[3, m])
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("replicates", [100, 256, 257, 2000])
+    def test_calibrate_null_keeps_the_chunk_layout(self, p, replicates):
+        # the per-chunk statistic over substream(i) draws, then the moments
+        mix = 0.7 * np.eye(p) + 0.3
+        cov = CovarianceSequence(0.5 ** np.arange(21)[:, None, None] * mix)
+        sur = GaussianSurrogate(cov, 150)
+        budget = CalibrationBudget(replicates=replicates, seed=RngStream(59))
+        values = []
+        for i, start in enumerate(range(0, replicates, _CHUNK)):
+            batch = simulate_gaussian_batch(sur, budget.seed.substream(i),
+                                            min(_CHUNK, replicates - start))
+            values.append(_mardia_batch(batch)[0])
+        expected = _moments_with_errors(np.concatenate(values))
+        res = calibrate_null(sur, budget=budget)
+        assert (res.mean, res.variance, res.se_mean, res.se_variance) == expected

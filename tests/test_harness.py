@@ -95,10 +95,12 @@ class TestExperimentConfig:
             ExperimentConfig(GUMBEL, 2, 1, True, n=300, m=5, max_lag=-5)
 
     def test_too_few_calibration_replicates_rejected(self):
-        # the null variance divides by R - 1
-        ExperimentConfig(GUMBEL, 3, 2, True, n=200, m=2, calib_replicates=2)
+        # the same minimum as a CalibrationBudget
+        ExperimentConfig(GUMBEL, 3, 2, True, n=200, m=2, calib_replicates=100)
         with pytest.raises(ValueError, match="calib_replicates"):
-            ExperimentConfig(GUMBEL, 3, 2, True, n=200, m=2, calib_replicates=1)
+            ExperimentConfig(GUMBEL, 3, 2, True, n=200, m=2, calib_replicates=99)
+        with pytest.raises(ValueError):
+            CalibrationBudget(replicates=99)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -106,10 +108,11 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("src, proj", [(2, 1), (3, 2), (2, 2)])
     def test_too_short_rejected(self, src, proj):
-        # the rule is on the projected sample: N >= projection_dim + 2
-        ExperimentConfig(GUMBEL, src, proj, True, n=proj + 2, m=5)
-        with pytest.raises(ValueError, match=r"N >= p\+2"):
-            ExperimentConfig(GUMBEL, src, proj, True, n=proj + 1, m=5)
+        # the rule is on the projected sample: N >= max(projection_dim + 2, 4)
+        ExperimentConfig(GUMBEL, src, proj, True, n=max(proj + 2, 4), m=5)
+        for n in range(proj + 1, max(proj + 2, 4)):
+            with pytest.raises(ValueError, match=rf"N >= p\+2, got p={proj}, N={n}"):
+                ExperimentConfig(GUMBEL, src, proj, True, n=n, m=5)
 
     def test_dict_round_trip(self):
         cfg = _tiny_config(alphas=(0.01, 0.05), max_lag=30)
@@ -303,7 +306,7 @@ class TestProjectionEngine:
                            m=15, calib_replicates=120)
         runs = []
         for block in (1, 7, cfg.m):
-            monkeypatch.setattr("depnorm.harness._BASIS_BLOCK", block)
+            monkeypatch.setattr("depnorm.calibrate._BASIS_BLOCK", block)
             runs.append(_run_realization(cfg, 0, RngStream(cfg.seed, 0)))
         for pvalues, valid in runs[1:]:
             np.testing.assert_array_equal(valid, runs[0][1])

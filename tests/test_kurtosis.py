@@ -370,13 +370,16 @@ class TestRunTest:
     ])
     def test_minimum_length(self, kind, p):
         # at N = p+1 the centered sample spans p dimensions and B_p = p^2
-        # whatever the data
+        # whatever the data, and at p = 1, N = 3, B_1 = 3/2
         gen = RngStream(103).generator()
         budget = CalibrationBudget(replicates=200, seed=RngStream(107))
-        short = TimeSeriesSample(gen.standard_normal((p, p + 1)))
-        with pytest.raises(ValueError, match=rf"{kind.value} needs p >= 1 and N >= p\+2"):
-            run_test(short, kind, 0.05, budget=budget)
-        rep = run_test(TimeSeriesSample(gen.standard_normal((p, p + 2))), kind, 0.05,
+        shortest = max(p + 2, 4)
+        for n in range(p + 1, shortest):
+            short = TimeSeriesSample(gen.standard_normal((p, n)))
+            with pytest.raises(ValueError, match=rf"{kind.value} needs p >= 1 and N >= p\+2, "
+                                                 rf"got p={p}, N={n}"):
+                run_test(short, kind, 0.05, budget=budget)
+        rep = run_test(TimeSeriesSample(gen.standard_normal((p, shortest))), kind, 0.05,
                        budget=budget)
         fields = (rep.statistic, rep.z, rep.p_value,
                   rep.null_moments.mean, rep.null_moments.variance)
@@ -387,9 +390,26 @@ class TestRunTest:
         with pytest.raises(ValueError, match=rule):
             iid_null_moments(2, 3)
         with pytest.raises(ValueError, match=rule):
+            iid_null_moments(1, 3)
+        with pytest.raises(ValueError, match=rule):
             colored_scalar_null_moments(_scalar_cov([0.1]), 2)
         with pytest.raises(ValueError, match=rule):
+            colored_scalar_null_moments(_scalar_cov([0.3, 0.1]), 3)
+        with pytest.raises(ValueError, match=rule):
             colored_bivariate_null_moments(CovarianceSequence(np.eye(2)[None]), 3)
+
+    def test_scalar_statistic_depends_on_data_from_four_points(self):
+        # the centered values a, b, c of a 3-point sample satisfy
+        # a^4 + b^4 + c^4 = (a^2 + b^2 + c^2)^2 / 2, so B_1 = 3/2 for all of
+        # them; from N = 4 on B_1 varies with the data
+        gen = RngStream(109).generator()
+        three = [mardia_kurtosis(TimeSeriesSample(gen.standard_normal((1, 3)))).value
+                 for _ in range(5)]
+        np.testing.assert_allclose(three, 1.5, rtol=1e-12)
+        four = [mardia_kurtosis(TimeSeriesSample(gen.standard_normal((1, 4)))).value
+                for _ in range(5)]
+        assert np.all(np.isfinite(four)) and len(set(four)) == 5
+        assert np.ptp(four) > 0.1
 
     def test_alpha_validated(self):
         x = TimeSeriesSample(RngStream(71).generator().standard_normal((1, 100)))
