@@ -29,7 +29,8 @@ from .core import (
     DegenerateSampleError,
     RngStream,
 )
-from .kurtosis import _DEGENERATE_MESSAGE, _fourth_moments, _projected_kurtosis
+from .kurtosis import (_DEGENERATE_MESSAGE, _check_length, _fourth_moments,
+                       _projected_kurtosis)
 
 __all__ = [
     "CalibrationBudget",
@@ -179,8 +180,10 @@ def calibrate_null(surrogate: GaussianSurrogate,
     Replicates are drawn in fixed-size chunks, one RNG substream per chunk,
     so the result is reproducible from the budget seed, and each chunk is
     reduced to its fourth moments as soon as it is drawn. Raises
-    ``DegenerateSampleError`` if any replicate is degenerate.
+    ``ValueError`` if the surrogate is too short for the statistic to depend
+    on its data, and ``DegenerateSampleError`` if any replicate is degenerate.
     """
+    _check_length(surrogate.p, surrogate.n, "calibration")
     budget = budget or CalibrationBudget()
     parts = []
     for i, start in enumerate(range(0, budget.replicates, _CHUNK)):

@@ -130,8 +130,7 @@ _TABLE_WIDTHS = (9, 9, 6, 8, 11, 9)
 
 
 def _cmd_reproduce_tables(args) -> int:
-    result = reproduce_tables(args.out, fast=args.fast, seed=args.seed)
-    for name, path in result["files"].items():
+    for name, path in reproduce_tables(args.out, fast=args.fast, seed=args.seed).items():
         print(f"{name}: {path}")
         if name == "report":
             continue

@@ -28,7 +28,6 @@ __all__ = [
     "ar1_filter",
     "generate",
     "psi",
-    "psi_inverse",
     "sample_frailty",
 ]
 
@@ -114,18 +113,6 @@ def psi(family: ArchimedeanFamily, t):
         out = np.exp(-(t ** (1.0 / family.rho)))
     else:
         out = (1.0 + t) ** (-1.0 / family.rho)
-    return out if out.ndim else float(out)
-
-
-def psi_inverse(family: ArchimedeanFamily, u):
-    """Inverse generator on (0, 1]: psi(psi_inverse(u)) == u."""
-    u = np.asarray(u, dtype=np.float64)
-    if np.any((u <= 0) | (u > 1)):
-        raise ValueError("psi_inverse requires u in (0, 1]")
-    if family.kind == GUMBEL:
-        out = (-np.log(u)) ** family.rho
-    else:
-        out = u ** (-family.rho) - 1.0
     return out if out.ndim else float(out)
 
 

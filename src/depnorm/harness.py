@@ -111,16 +111,53 @@ _SETUPS = {
 
 # Config fields whose key in the dict form differs from the field name.
 _KEYS = {"n": "N", "m": "M"}
-_CASTS = {"int": int, "float": float, "bool": bool}
 
 
-def _from_json(f, value):
-    """A config field's value from its dict form, cast by its annotation."""
-    if f.name == "alphas":
-        return tuple(float(a) for a in value)
-    if f.name == "tests":
-        return None if value is None else tuple(TestKind(t) for t in value)
-    return _CASTS[f.type](value) if f.type in _CASTS else value
+def _integer(value):
+    if type(value) is float and value.is_integer():
+        return int(value)  # 1000.0 reads as 1000
+    return value if type(value) is int else None
+
+
+def _number(value):
+    return float(value) if type(value) in (int, float) else None
+
+
+def _test_kind(value):
+    return next((kind for kind in TestKind if kind.value == value), None)
+
+
+def _list_of(item):
+    def read(value):
+        items = tuple(map(item, value)) if type(value) is list else (None,)
+        return None if None in items else items
+    return read
+
+
+# JSON form of each config field type: what it must be, and a reader that
+# converts a JSON value or returns None when the value has the wrong type.
+_JSON_TYPES = {
+    "int": ("an integer", _integer),
+    "float": ("a number", _number),
+    "bool": ("true or false", lambda v: v if type(v) is bool else None),
+    "str": ("a string", lambda v: v if type(v) is str else None),
+    "tuple[float, ...]": ("a list of numbers", _list_of(_number)),
+    "tuple[TestKind, ...]": ("a list of " + "/".join(k.value for k in TestKind),
+                             _list_of(_test_kind)),
+}
+
+
+def _from_json(key: str, annotation: str, value):
+    """A config value from its JSON form, checked against the field type
+    ``annotation``; ``T | None`` also takes null."""
+    kind = annotation.removesuffix(" | None")
+    if value is None and kind != annotation:
+        return None
+    what, read = _JSON_TYPES[kind]
+    out = read(value)
+    if out is None:
+        raise ValueError(f"experiment config key {key!r} must be {what}, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,14 +190,16 @@ class ExperimentConfig:
                 f"unsupported projection {self.source_dim}->{self.projection_dim}; "
                 f"supported: {', '.join(f'{s}->{p}' for s, p in _SETUPS)}"
             )
-        if not all(0.0 < a < 1.0 for a in self.alphas):
-            raise ValueError("all alphas must lie in (0, 1)")
+        if not self.alphas or not all(0.0 < a < 1.0 for a in self.alphas):
+            raise ValueError("alphas must be one or more levels in (0, 1)")
         if self.m < 1 or self.realizations < 1:
             raise ValueError("M and realizations must be positive")
         if self.calib_replicates < MIN_REPLICATES:
             raise ValueError(f"calib_replicates must be at least {MIN_REPLICATES}, "
                              f"got {self.calib_replicates}")
         resolve_max_lag(self.max_lag, self.n)  # raises for a negative max_lag
+        RngStream(self.seed)  # raises for a seed outside 64 bits
+        self._generator_config()  # raises for an invalid generator setting
         if self.tests is None:
             object.__setattr__(self, "tests", (
                 (TestKind.COLORED_SCALAR, TestKind.MARDIA_IID)
@@ -193,8 +232,17 @@ class ExperimentConfig:
         missing -= set(raw)
         if missing:
             raise ValueError(f"missing experiment config keys: {sorted(missing)}")
-        kwargs = {f.name: _from_json(f, raw[key]) for key, f in by_key.items() if key in raw}
-        return cls(ArchimedeanFamily.named(raw["family"], raw.get("rho")), **kwargs)
+        kwargs = {f.name: _from_json(key, f.type, raw[key])
+                  for key, f in by_key.items() if key in raw}
+        family = ArchimedeanFamily.named(_from_json("family", "str", raw["family"]),
+                                         _from_json("rho", "float | None", raw.get("rho")))
+        return cls(family, **kwargs)
+
+    def _generator_config(self) -> GeneratorConfig:
+        """The copula generator setting of every realization."""
+        return GeneratorConfig(self.family, self.source_dim, self.n,
+                               ar_coefficient=self.ar_coefficient, n_drop=self.n_drop,
+                               temporal_coloring=self.temporal_coloring)
 
 
 def _ratios(counts: dict, total: int) -> dict:
@@ -254,11 +302,7 @@ def _draw_bases(cfg: ExperimentConfig, gen: np.random.Generator) -> np.ndarray:
 
 
 def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
-    gen_cfg = GeneratorConfig(cfg.family, cfg.source_dim, cfg.n,
-                              ar_coefficient=cfg.ar_coefficient,
-                              n_drop=cfg.n_drop,
-                              temporal_coloring=cfg.temporal_coloring)
-    x = generate(gen_cfg, stream.substream(_DATA, r))
+    x = generate(cfg._generator_config(), stream.substream(_DATA, r))
     xc = center(x)
     cov = sample_cross_covariance(xc, resolve_max_lag(cfg.max_lag, cfg.n))
     bases = _draw_bases(cfg, stream.substream(_ANGLES, r).generator())
@@ -307,21 +351,18 @@ def run_experiment(cfg: ExperimentConfig) -> RejectionRateReport:
 
 
 def reproduce_tables(out_dir: str | Path, fast: bool = False,
-                     seed: int = DEFAULT_SEED, m: int | None = None,
-                     realizations: int | None = None,
-                     calib_replicates: int | None = None) -> dict:
-    """Re-run all four reference tables and write one CSV per table plus a
-    JSON report with per-realization detail.
+                     seed: int = DEFAULT_SEED) -> dict[str, Path]:
+    """Re-run all four reference tables, write one CSV per table plus a JSON
+    report with per-realization detail, and return the written paths by name.
 
-    Every study uses the ``ExperimentConfig`` default N (1000). Defaults are
-    M=5000 and 5 realizations; ``fast`` switches to M=500 and 3 realizations
-    for CI-scale runs. Identical seeds give byte-identical outputs.
+    Every study uses the ``ExperimentConfig`` default N (1000). The full run
+    uses M=5000, 5 realizations and 500 calibration replicates; ``fast``
+    switches to M=500, 3 realizations and 300 replicates for CI-scale runs.
+    Identical seeds give byte-identical outputs.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    m = (500 if fast else 5000) if m is None else m
-    realizations = (3 if fast else 5) if realizations is None else realizations
-    calib_replicates = (300 if fast else 500) if calib_replicates is None else calib_replicates
+    m, realizations, calib_replicates = (500, 3, 300) if fast else (5000, 5, 500)
 
     report: dict = {"seed": seed, "N": ExperimentConfig.n, "M": m,
                     "realizations": realizations, "tables": {}}
@@ -348,7 +389,6 @@ def reproduce_tables(out_dir: str | Path, fast: bool = False,
                          f"{abs(rate - paper):.4f}\n")
         files[table] = path
 
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2))
-    files["report"] = report_path
-    return {"files": files, "report": report}
+    files["report"] = out / "report.json"
+    files["report"].write_text(json.dumps(report, sort_keys=True, indent=2))
+    return files

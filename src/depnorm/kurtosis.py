@@ -52,6 +52,16 @@ _DEGENERATE_MESSAGE = ("sample covariance is numerically singular or the statist
                        "overflowed; check for collinear or constant channels")
 
 
+def _check_length(p: int, n: int, name: str) -> None:
+    """Raise ``ValueError`` unless B_p of a p-variate sample of length N
+    depends on the data, that is unless N >= max(p + 2, 4): B_p = p^2 at
+    N = p + 1, and B_1 = 3/2 at N = 3 (the centered values satisfy
+    a^4 + b^4 + c^4 = (a^2 + b^2 + c^2)^2 / 2)."""
+    if p < 1 or n < max(p + 2, 4):
+        raise ValueError(f"{name} needs p >= 1 and N >= p+2, got p={p}, N={n} "
+                         f"(and N >= 4 at p=1)")
+
+
 class TestKind(enum.Enum):
     __test__ = False  # not a pytest class, despite the name
 
@@ -61,18 +71,12 @@ class TestKind(enum.Enum):
 
     def check_dim(self, p: int, n: int) -> None:
         """Raise ``ValueError`` unless this kind runs on a p-variate sample
-        of length N (``iid`` runs on any p >= 1).
-
-        Every kind needs N >= max(p + 2, 4), or B_p is fixed whatever the
-        data: B_p = p^2 at N = p + 1, and B_1 = 3/2 at N = 3 (the centered
-        values satisfy a^4 + b^4 + c^4 = (a^2 + b^2 + c^2)^2 / 2).
-        """
+        of length N (``iid`` runs on any p >= 1, and every kind needs the
+        length of :func:`_check_length`)."""
         need = {TestKind.COLORED_SCALAR: 1, TestKind.COLORED_BIVARIATE: 2}.get(self)
         if need is not None and p != need:
             raise ValueError(f"{self.value} requires p={need}, got p={p}")
-        if p < 1 or n < max(p + 2, 4):
-            raise ValueError(f"{self.value} needs p >= 1 and N >= p+2, got p={p}, N={n} "
-                             f"(and N >= 4 at p=1)")
+        _check_length(p, n, self.value)
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,12 @@ class KurtosisValue:
             raise ValueError(f"kurtosis {self.value} below the lower bound p={self.p}")
 
 
+# A zero, overflowing or singular S gives NaN or inf in these two kernels,
+# which _projected_kurtosis marks as not ok, so their warnings are noise.
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_QUIET
 def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sufficient statistics of B for every projection of a batch of
     samples, shape (R, p, N).
@@ -110,8 +120,7 @@ def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     scale = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[:, -1:]))
     y = q.transpose(0, 2, 1) @ x
     del x  # the sample-sized temporaries bound the peak memory of a realization
-    with np.errstate(invalid="ignore", divide="ignore"):  # S = 0: NaN, caught later
-        y /= scale[:, :, None]
+    y /= scale[:, :, None]
     # M4 from the p(p+1)/2 distinct entries of y y^T, expanded to all p^2
     rows, cols = np.triu_indices(p)
     w = np.empty((len(y), rows.size, n))
@@ -124,6 +133,7 @@ def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return s, q * scale[:, None, :], m4
 
 
+@_QUIET
 def _projected_kurtosis(bases: np.ndarray,
                         moments: tuple[np.ndarray, np.ndarray, np.ndarray],
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -143,11 +153,10 @@ def _projected_kurtosis(bases: np.ndarray,
     s, whiten, m4 = moments
     u = bases[:, None]
     lam, q = np.linalg.eigh(u @ s @ u.swapaxes(-1, -2))
-    ok = (lam[..., 0] >= np.finfo(float).tiny) & (lam[..., -1] < _MAX_CONDITION * lam[..., 0])
-    with np.errstate(invalid="ignore", divide="ignore"):  # NaN where not ok
-        g = (q.swapaxes(-1, -2) @ (u @ whiten)) / np.sqrt(lam)[..., None]
-        vec = (g.swapaxes(-1, -2) @ g).reshape(*ok.shape, -1)
-        values = np.sum((vec[..., None, :] @ m4)[..., 0, :] * vec, axis=-1)
+    ok = (lam[..., 0] >= np.finfo(float).tiny) & (lam[..., -1] / _MAX_CONDITION < lam[..., 0])
+    g = (q.swapaxes(-1, -2) @ (u @ whiten)) / np.sqrt(lam)[..., None]
+    vec = (g.swapaxes(-1, -2) @ g).reshape(*ok.shape, -1)
+    values = np.sum((vec[..., None, :] @ m4)[..., 0, :] * vec, axis=-1)
     ok &= np.isfinite(values)
     values[~ok] = np.nan
     return values, ok

@@ -218,17 +218,11 @@ def test_criterion_9_affine_invariance():
                     f"{flips}/100 rotation decision flips")
 
 
-def test_criterion_10_deterministic_reproduction(tmp_path):
-    outs = []
+def test_criterion_10_deterministic_reproduction(tmp_path, fast_tables):
+    # a second run in the same session against the shared one
     t0 = time.time()
-    for sub in ("run1", "run2"):
-        out = tmp_path / sub
-        dn.reproduce_tables(out, fast=True, seed=DEFAULT_SEED)
-        outs.append(out)
-    names = [f"table{i}.csv" for i in range(1, 5)] + ["report.json"]
-    same = all(
-        (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        for name in names
-    )
+    dn.reproduce_tables(tmp_path, fast=True, seed=DEFAULT_SEED)
+    same = all(path.read_bytes() == (tmp_path / path.name).read_bytes()
+               for path in fast_tables.values())
     assert _verdict(10, "byte-identical fast reproduction", same,
-                    f"{len(names)} files compared, {time.time()-t0:.0f}s for two runs")
+                    f"{len(fast_tables)} files compared, {time.time()-t0:.0f}s for the second run")

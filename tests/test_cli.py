@@ -164,6 +164,19 @@ class TestInputErrors:
         self._fails(capsys, ["test", "--in", str(short), "--kind", "colored2"],
                     "colored2 needs p >= 1 and N >= p+2, got p=2, N=3")
 
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        path = self._config(tmp_path, max_lag="30")
+        self._fails(capsys, ["experiment", "--config", str(path)],
+                    "'max_lag' must be an integer, got '30'")
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_calibrate_sample_too_short(self, tmp_path, capsys, p):
+        # the null of a 3-point sample does not depend on the data
+        short = tmp_path / "short.csv"
+        write_csv(TimeSeriesSample(np.array([[0.0, 1.0, 3.0], [2.0, -1.0, 0.5]])[:p]), short)
+        self._fails(capsys, ["calibrate", "--in", str(short)],
+                    f"calibration needs p >= 1 and N >= p+2, got p={p}, N=3")
+
     def test_missing_input_file(self, tmp_path, capsys):
         self._fails(capsys, ["test", "--in", str(tmp_path / "absent.csv")], "absent.csv")
 
@@ -176,7 +189,7 @@ class TestReproduceTables:
                             "gumbel,iid,0.05,0.1200,0.1242,0.0042\n")
             report = tmp_path / "report.json"
             report.write_text("{}")
-            return {"files": {"table1": path, "report": report}, "report": {}}
+            return {"table1": path, "report": report}
 
         monkeypatch.setattr("depnorm.cli.reproduce_tables", fake_reproduce)
         rc = main(["reproduce-tables", "--out", str(tmp_path), "--fast"])

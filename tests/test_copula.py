@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import kendalltau, kstest
 
 from depnorm import (
@@ -11,7 +9,6 @@ from depnorm import (
     ar1_filter,
     generate,
     psi,
-    psi_inverse,
     sample_frailty,
 )
 
@@ -76,35 +73,6 @@ class TestGenerator:
             vals = psi(fam, t)
             assert np.all(np.diff(vals) < 0)
             assert vals[-1] < 0.2
-
-
-class TestGeneratorInverse:
-    def test_at_one(self):
-        assert psi_inverse(GUMBEL5, 1.0) == pytest.approx(0.0)
-
-    def test_clayton_value(self):
-        assert psi_inverse(CLAYTON2, 0.5) == pytest.approx(3.0, rel=1e-12)
-
-    def test_domain(self):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                psi_inverse(CLAYTON2, bad)
-
-    def test_round_trip_bulk(self):
-        u = RngStream(3).generator().uniform(1e-9, 1.0, 1000)
-        for fam in (GUMBEL5, CLAYTON2):
-            back = psi(fam, psi_inverse(fam, u))
-            np.testing.assert_allclose(back, u, rtol=1e-12)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.floats(1e-6, 1.0 - 1e-12),
-        st.sampled_from(["gumbel", "clayton"]),
-        st.floats(1.0, 30.0),
-    )
-    def test_round_trip_property(self, u, kind, rho):
-        fam = ArchimedeanFamily(kind, rho)
-        assert psi(fam, psi_inverse(fam, u)) == pytest.approx(u, rel=1e-9)
 
 
 class TestFrailty:

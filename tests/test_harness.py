@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from depnorm import (
     RngStream,
     TestKind,
     TimeSeriesSample,
-    reproduce_tables,
     run_experiment,
 )
 from depnorm.copula import ar1_filter
@@ -39,10 +39,7 @@ def _per_projection_colored2(cfg, r, stream):
     """Colored bivariate p-values of one realization the direct way: project
     the data and the shared surrogate batch through each basis in turn and
     evaluate every projected sample with the plain reference."""
-    x = dn.center(dn.generate(dn.GeneratorConfig(cfg.family, cfg.source_dim, cfg.n,
-                                                 ar_coefficient=cfg.ar_coefficient,
-                                                 n_drop=cfg.n_drop),
-                              stream.substream(_DATA, r)))
+    x = dn.center(dn.generate(cfg._generator_config(), stream.substream(_DATA, r)))
     bases = _draw_bases(cfg, stream.substream(_ANGLES, r).generator())
     surrogate = dn.GaussianSurrogate(dn.sample_cross_covariance(x, cfg.n - 1), cfg.n)
     z = dn.simulate_gaussian_batch(surrogate, stream.substream(_SURROGATE, r),
@@ -114,6 +111,17 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match=rf"N >= p\+2, got p={proj}, N={n}"):
                 ExperimentConfig(GUMBEL, src, proj, True, n=n, m=5)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("ar_coefficient", 1.5, "AR coefficient"),
+        ("n_drop", -3, "n_drop"),
+        ("seed", -1, "64 bits"),
+        ("alphas", (), "alphas"),
+    ])
+    def test_invalid_setting_rejected_at_construction(self, field, value, message):
+        # not only when the first realization runs
+        with pytest.raises(ValueError, match=message):
+            _tiny_config(**{field: value})
+
     def test_dict_round_trip(self):
         cfg = _tiny_config(alphas=(0.01, 0.05), max_lag=30)
         back = ExperimentConfig.from_dict(cfg.to_dict())
@@ -126,6 +134,23 @@ class TestExperimentConfig:
         assert cfg.family == ArchimedeanFamily.clayton()
         assert cfg.family.rho == 2.0
         assert cfg == ExperimentConfig(CLAYTON, 2, 1, True)
+
+    @pytest.mark.parametrize("key, value", [
+        ("temporal_coloring", "false"), ("N", 300.7), ("M", "5"), ("max_lag", True),
+        ("max_lag", "30"), ("max_lag", 30.5), ("max_lag", [1]), ("alphas", 0.05),
+        ("tests", "iid"), ("tests", ["bogus"]), ("rho", "5"), ("family", ["gumbel"]),
+    ])
+    def test_from_dict_rejects_wrong_json_types(self, key, value):
+        raw = _tiny_config().to_dict()
+        raw[key] = value
+        with pytest.raises(ValueError, match=f"key '{key}' must be"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_from_dict_reads_integral_floats_as_ints(self):
+        raw = _tiny_config(max_lag=30).to_dict()
+        cfg = ExperimentConfig.from_dict({**raw, "N": 300.0, "max_lag": 30.0, "seed": 424242.0})
+        assert cfg == ExperimentConfig.from_dict(raw)
+        assert json.dumps(cfg.to_dict()) == json.dumps(raw)
 
     def test_from_dict_rejects_unknown_keys(self):
         raw = _tiny_config().to_dict()
@@ -372,30 +397,26 @@ class TestNullSize:
         assert abs(np.mean(rates) - 0.05) < 0.02
 
 
-class TestReproduceTables:
-    def test_files_columns_and_determinism(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        kwargs = dict(fast=True, m=20, realizations=1, calib_replicates=150,
-                      seed=99)
-        reproduce_tables(out1, **kwargs)
-        reproduce_tables(out2, **kwargs)
-        for name in ("table1", "table2", "table3", "table4"):
-            f1, f2 = out1 / f"{name}.csv", out2 / f"{name}.csv"
-            assert f1.exists()
-            text = f1.read_text()
-            header = text.splitlines()[0]
-            assert header == "copula,test,alpha,rate,paper_rate,abs_diff"
-            assert text == f2.read_text()
-        assert (out1 / "report.json").read_text() == (out2 / "report.json").read_text()
+# The outputs of `depnorm reproduce-tables --fast --seed 16`, as recorded.
+_RECORDED = Path(__file__).parent / "reproduce_fast_seed16"
 
-    def test_paper_rates_echoed_in_csv(self, tmp_path):
-        reproduce_tables(tmp_path, fast=True, m=10, realizations=1,
-                         calib_replicates=150, seed=7)
-        rows = (tmp_path / "table1.csv").read_text().splitlines()[1:]
+
+class TestReproduceTables:
+    def test_files_columns_and_determinism(self, fast_tables):
+        # the fast run at the default seed reproduces the recorded bytes
+        assert list(fast_tables) == ["table1", "table2", "table3", "table4", "report"]
+        for name, path in fast_tables.items():
+            if name != "report":
+                header = path.read_text().splitlines()[0]
+                assert header == "copula,test,alpha,rate,paper_rate,abs_diff"
+            assert path.read_bytes() == (_RECORDED / path.name).read_bytes(), name
+
+    def test_paper_rates_echoed_in_csv(self, fast_tables):
+        rows = fast_tables["table1"].read_text().splitlines()[1:]
         gumbel_b1 = [r for r in rows if r.startswith("gumbel,colored1,0.05")]
         assert len(gumbel_b1) == 1
         assert gumbel_b1[0].split(",")[4] == "0.1250"
-        report = json.loads((tmp_path / "report.json").read_text())
+        report = json.loads(fast_tables["report"].read_text())
         assert set(report["tables"]) == {"table1", "table2", "table3", "table4"}
         det = report["tables"]["table1"]["gumbel"]["realizations"]
-        assert len(det) == 1
+        assert len(det) == 3

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from depnorm import (
     ArchimedeanFamily,
     CalibrationBudget,
+    CalibrationError,
     CovarianceSequence,
     DegenerateSampleError,
     GeneratorConfig,
@@ -410,6 +412,42 @@ class TestRunTest:
                 for _ in range(5)]
         assert np.all(np.isfinite(four)) and len(set(four)) == 5
         assert np.ptp(four) > 0.1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.sampled_from([1, 2, 3]),
+        n=st.integers(4, 40),
+        log_scale=st.floats(-300.0, 300.0),
+        channel=st.sampled_from(["plain", "constant", "collinear", "spiked"]),
+        kind=st.sampled_from(list(TestKind)),
+        max_lag=st.sampled_from([None, 0, 3]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_every_input_raises_or_gives_finite_fields(self, p, n, log_scale, channel,
+                                                      kind, max_lag, seed):
+        # the one input policy: a documented error, or finite fields, with
+        # no floating-point warning on the way at any scale
+        gen = RngStream(seed).generator()
+        data = gen.standard_normal((p, n))
+        if channel == "constant":
+            data[-1] = 0.5
+        elif channel == "collinear":
+            data[-1] = -3.0 * data[0]
+        elif channel == "spiked":
+            data[-1, gen.integers(n)] = 1e6
+        x = TimeSeriesSample(10.0**log_scale * data)
+        budget = CalibrationBudget(replicates=100, seed=RngStream(seed))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rep = run_test(x, kind, 0.05, max_lag=max_lag, budget=budget)
+            except (DegenerateSampleError, CalibrationError, ValueError):
+                rep = None
+        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        if rep is not None:
+            fields = (rep.statistic, rep.z, rep.p_value,
+                      rep.null_moments.mean, rep.null_moments.variance)
+            assert np.all(np.isfinite(fields))
 
     def test_alpha_validated(self):
         x = TimeSeriesSample(RngStream(71).generator().standard_normal((1, 100)))
