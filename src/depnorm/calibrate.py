@@ -4,7 +4,7 @@ A :class:`GaussianSurrogate` turns a truncated covariance sequence into a
 stationary Gaussian sampler via circulant embedding: the two-sided sequence
 is wrapped onto a circle of length K >= N + L, the resulting spectral
 matrices are eigen-factored per frequency (negative eigenvalues clipped and
-accounted for), and samples come out of one inverse FFT. Each complex draw
+accounted for), and samples come out of an inverse FFT. Each complex draw
 yields two independent real replicates.
 
 One Monte Carlo estimator, :func:`_replicate_moments`, gives every projection
@@ -12,12 +12,21 @@ the mean and variance of its statistic over the replicates, with standard
 errors, contracting the projections in fixed blocks of ``_BASIS_BLOCK``.
 :func:`calibrate_null` is its identity-basis case; the study harness passes
 its M projections.
+
+:func:`calibrate_null` draws its replicates in chunks of ``_CHUNK``, each
+from its own RNG substream, and runs the chunks (draw, then fourth-moment
+reduction) on a thread pool sized to the CPUs the process may use. numpy
+releases the GIL in the normal fills, FFTs and linear algebra that do the
+work, and the reductions are joined in chunk order, so the result is the
+same for any pool size and any scheduling.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -44,6 +53,10 @@ logger = logging.getLogger(__name__)
 
 # Replicates per RNG substream; fixed so results never depend on scheduling.
 _CHUNK = 256
+
+# Complex draws transformed at once; fixed so a draw's temporaries do not
+# grow with its replicate count.
+_SLAB = 16
 
 # Projections contracted at once; fixed so peak memory does not grow with M.
 _BASIS_BLOCK = 64
@@ -113,16 +126,31 @@ class GaussianSurrogate:
 
 def simulate_gaussian_batch(surrogate: GaussianSurrogate, rng: RngStream,
                             count: int) -> np.ndarray:
-    """Draw ``count`` independent replicates, shape (count, p, N)."""
+    """Draw ``count`` independent replicates, shape (count, p, N).
+
+    Complex draw h gives replicates 2h (real part) and 2h + 1 (imaginary
+    part). The stream holds the real normals of every draw, then the
+    imaginary ones; the imaginary normals are drawn and transformed in slabs
+    of ``_SLAB`` draws, so the complex temporaries do not grow with count.
+    """
     gen = rng.generator()
     k, p, n = surrogate._k, surrogate.p, surrogate.n
     half = (count + 1) // 2
-    xi = gen.standard_normal((half, k, p)) + 1j * gen.standard_normal((half, k, p))
-    z = (surrogate._factor @ xi[..., None])[..., 0]
-    z = np.fft.ifft(z, axis=1) * math.sqrt(k)
+    real = gen.standard_normal((half, k, p))
     out = np.empty((2 * half, p, n))
-    out[0::2] = z.real[:, :n, :].transpose(0, 2, 1)
-    out[1::2] = z.imag[:, :n, :].transpose(0, 2, 1)
+    for start in range(0, half, _SLAB):
+        stop = min(start + _SLAB, half)
+        xi = real[start:stop] + 1j * gen.standard_normal((stop - start, k, p))
+        # z[:, i] = sum_j B[:, i, j] xi[..., j], summed left to right
+        z = np.empty((stop - start, p, k), dtype=complex)
+        for i in range(p):
+            np.multiply(surrogate._factor[:, i, 0], xi[..., 0], out=z[:, i])
+            for j in range(1, p):
+                z[:, i] += surrogate._factor[:, i, j] * xi[..., j]
+        np.fft.ifft(z, axis=-1, out=z)
+        z *= math.sqrt(k)
+        out[2 * start : 2 * stop : 2] = z.real[..., :n]
+        out[2 * start + 1 : 2 * stop : 2] = z.imag[..., :n]
     return out[:count]
 
 
@@ -172,6 +200,13 @@ def _replicate_moments(bases: np.ndarray,
     return out
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def calibrate_null(surrogate: GaussianSurrogate,
                    budget: CalibrationBudget | None = None) -> CalibrationResult:
     """Null moments of the kurtosis statistic over surrogate replicates: the
@@ -179,17 +214,24 @@ def calibrate_null(surrogate: GaussianSurrogate,
 
     Replicates are drawn in fixed-size chunks, one RNG substream per chunk,
     so the result is reproducible from the budget seed, and each chunk is
-    reduced to its fourth moments as soon as it is drawn. Raises
-    ``ValueError`` if the surrogate is too short for the statistic to depend
-    on its data, and ``DegenerateSampleError`` if any replicate is degenerate.
+    reduced to its fourth moments as soon as it is drawn. The chunks run on
+    a thread pool with one worker per usable CPU (at most one per chunk) and
+    their reductions are joined in chunk order, so the result depends on
+    neither the pool size nor the scheduling. Raises ``ValueError`` if the
+    surrogate is too short for the statistic to depend on its data, and
+    ``DegenerateSampleError`` if any replicate is degenerate.
     """
     _check_length(surrogate.p, surrogate.n, "calibration")
     budget = budget or CalibrationBudget()
-    parts = []
-    for i, start in enumerate(range(0, budget.replicates, _CHUNK)):
-        take = min(_CHUNK, budget.replicates - start)
-        parts.append(_fourth_moments(
-            simulate_gaussian_batch(surrogate, budget.seed.substream(i), take)))
+    starts = range(0, budget.replicates, _CHUNK)
+
+    def reduce_chunk(i: int):
+        take = min(_CHUNK, budget.replicates - starts[i])
+        return _fourth_moments(
+            simulate_gaussian_batch(surrogate, budget.seed.substream(i), take))
+
+    with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
+        parts = list(pool.map(reduce_chunk, range(len(starts))))
     null = tuple(np.concatenate(arrays) for arrays in zip(*parts))
     moments = _replicate_moments(np.eye(surrogate.p)[None], null)[:, 0]
     if np.isnan(moments[0]):

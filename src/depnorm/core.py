@@ -227,6 +227,9 @@ def resolve_max_lag(max_lag: int | None, n: int) -> int:
     return n - 1 if max_lag is None else min(max_lag, n - 1)
 
 
+# An overflowing sample gives inf or NaN lags, which CovarianceSequence
+# rejects, so the floating-point warnings on the way are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def _cross_cov_fft(data: np.ndarray, max_lag: int) -> np.ndarray:
     """Lagged covariances of one or more samples, ``(..., p, N)`` to
     ``(..., max_lag + 1, p, p)``, by one FFT per row."""

@@ -93,18 +93,28 @@ class KurtosisValue:
 
 # A zero, overflowing or singular S gives NaN or inf in these two kernels,
 # which _projected_kurtosis marks as not ok, so their warnings are noise.
+# Kept as a decorator: numpy's errstate decorator holds its context token per
+# call, so the calibration's worker threads can run these kernels at once,
+# whereas a second thread entering a shared ``with _QUIET:`` raises TypeError.
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+# Samples reduced at once; fixed so the reduction's temporaries do not grow
+# with the number of samples.
+_SAMPLE_BLOCK = 32
 
 
 @_QUIET
 def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sufficient statistics of B for every projection of a batch of
-    samples, shape (R, p, N).
+    samples, shape (R, p, N), reduced in blocks of ``_SAMPLE_BLOCK`` samples.
 
-    Centers each sample and returns ``(s, whiten, m4)``: the biased
-    covariances S, shape (R, p, p); a whitening factor L = Q Lambda^{1/2}
-    from the eigendecomposition S = Q Lambda Q^T; and the fourth-moment
-    matrix M4 = (1/N) sum_n w(n) w(n)^T of the whitened sample
+    Centers each sample and scales it by the power of two that brings its
+    largest magnitude into [1/2, 1). B is scale-invariant and the scaling is
+    exact, so it changes no statistic, but it keeps S representable at any
+    scale of the input. Returns ``(s, whiten, m4)`` of the scaled samples:
+    the biased covariances S, shape (R, p, p); a whitening factor
+    L = Q Lambda^{1/2} from the eigendecomposition S = Q Lambda Q^T; and the
+    fourth-moment matrix M4 = (1/N) sum_n w(n) w(n)^T of the whitened sample
     y = L^{-1} x, with w(n) = vec(y(n) y(n)^T), shape (R, p^2, p^2).
 
     Whitening keeps the contraction in :func:`_projected_kurtosis` accurate
@@ -113,24 +123,35 @@ def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     a singular S still yields a finite L, and a projection that avoids its
     null space is still contracted in whitened coordinates.
     """
-    x = batch - batch.mean(axis=2, keepdims=True)
-    p, n = x.shape[1:]
-    s = x @ x.transpose(0, 2, 1) / n
-    lam, q = np.linalg.eigh(s)
-    scale = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[:, -1:]))
-    y = q.transpose(0, 2, 1) @ x
-    del x  # the sample-sized temporaries bound the peak memory of a realization
-    y /= scale[:, :, None]
+    r, p, n = batch.shape
+    s = np.empty((r, p, p))
+    whiten = np.empty((r, p, p))
+    # M4 keeps the sample axis innermost, the layout an index gather over all
+    # samples gives: numpy's matmul in _projected_kurtosis picks its loop, and
+    # so its rounding, by layout, and the pinned calibration values hold for
+    # this one
+    m4 = np.empty((p * p, p * p, r)).transpose(2, 0, 1)
     # M4 from the p(p+1)/2 distinct entries of y y^T, expanded to all p^2
     rows, cols = np.triu_indices(p)
-    w = np.empty((len(y), rows.size, n))
-    for k, (i, j) in enumerate(zip(rows, cols)):
-        np.multiply(y[:, i], y[:, j], out=w[:, k])
     pair = np.empty((p, p), dtype=int)
     pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
     pair = pair.ravel()
-    m4 = (w @ w.transpose(0, 2, 1) / n)[:, pair[:, None], pair]
-    return s, q * scale[:, None, :], m4
+    for start in range(0, r, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        x = batch[block] - batch[block].mean(axis=2, keepdims=True)
+        _, exponent = np.frexp(np.abs(x).max(axis=(1, 2)))
+        np.ldexp(x, -exponent[:, None, None], out=x)
+        s[block] = x @ x.transpose(0, 2, 1) / n
+        lam, q = np.linalg.eigh(s[block])
+        scale = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[:, -1:]))
+        y = q.transpose(0, 2, 1) @ x
+        y /= scale[:, :, None]
+        w = np.empty((len(y), rows.size, n))
+        for k, (i, j) in enumerate(zip(rows, cols)):
+            np.multiply(y[:, i], y[:, j], out=w[:, k])
+        m4[block] = (w @ w.transpose(0, 2, 1) / n)[:, pair[:, None], pair]
+        whiten[block] = q * scale[:, None, :]
+    return s, whiten, m4
 
 
 @_QUIET

@@ -1,4 +1,6 @@
-"""Plain references for the batched kurtosis kernels."""
+"""Plain references for the batched kernels."""
+
+import math
 
 import numpy as np
 
@@ -35,3 +37,21 @@ def direct_scalar_lags(x, bases, max_lag):
         for tau in range(max_lag + 1):
             out[m, tau] = np.dot(y[: n - tau], y[tau:]) / n
     return out
+
+
+def direct_gaussian_batch(surrogate, rng, count):
+    """``count`` surrogate replicates (count, p, N), the textbook way: all
+    real normals, then all imaginary ones, in one (half, K, p) draw each;
+    one batched matrix product with the spectral factor; one inverse FFT
+    along the frequency axis; real and imaginary parts of draw h become
+    replicates 2h and 2h + 1."""
+    gen = rng.generator()
+    k, p, n = surrogate._k, surrogate.p, surrogate.n
+    half = (count + 1) // 2
+    xi = gen.standard_normal((half, k, p)) + 1j * gen.standard_normal((half, k, p))
+    z = (surrogate._factor @ xi[..., None])[..., 0]
+    z = np.fft.ifft(z, axis=1) * math.sqrt(k)
+    out = np.empty((2 * half, p, n))
+    out[0::2] = z.real[:, :n, :].transpose(0, 2, 1)
+    out[1::2] = z.imag[:, :n, :].transpose(0, 2, 1)
+    return out[:count]

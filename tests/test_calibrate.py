@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from depnorm import (
     resolve_max_lag,
     simulate_gaussian_batch,
 )
-from depnorm.calibrate import _CHUNK, _moments_with_errors, _replicate_moments
+from depnorm.calibrate import _CHUNK, _SLAB, _moments_with_errors, _replicate_moments
 from depnorm.kurtosis import _fourth_moments, _mardia_batch
 from depnorm.projection import sample_plane
-from reference import direct_kurtosis
+from reference import direct_gaussian_batch, direct_kurtosis
 
 
 def _ar1_cov(a, max_lag, p=1, s0=1.0):
@@ -32,6 +33,30 @@ def _ar1_cov(a, max_lag, p=1, s0=1.0):
 
 def _white_cov(p):
     return CovarianceSequence(np.eye(p)[None, :, :])
+
+
+# float.hex of calibrate_null's (mean, variance, se_mean, se_variance) on
+# the surrogates of TestCalibrateNull.test_pinned_values, keyed by (p, R)
+_PINNED = {
+    (1, 100): ('0x1.72be38b2b2212p+1', '0x1.b9b01cd069797p-4',
+               '0x1.0d0273945a77bp-5', '0x1.cdb6270ef0384p-7'),
+    (1, 257): ('0x1.77225d9c5c3b1p+1', '0x1.03690fb5c27d3p-3',
+               '0x1.6bbb84245b0efp-6', '0x1.eb8ad9c2f69c6p-7'),
+    (1, 2000): ('0x1.77eca2f52775ep+1', '0x1.0a9a20a9a12a9p-3',
+                '0x1.085d1713a71b8p-7', '0x1.a454287e16aa5p-8'),
+    (2, 100): ('0x1.f1ebf183496e3p+2', '0x1.3a711ff2c6248p-2',
+               '0x1.c5f3c63cd1832p-5', '0x1.63806de1dfdaep-5'),
+    (2, 257): ('0x1.fcb48e0f9e263p+2', '0x1.709155c49520ap-2',
+               '0x1.32925a4f6d735p-5', '0x1.c11a1ed00a0cbp-6'),
+    (2, 2000): ('0x1.f5f238be3eecep+2', '0x1.4a5fb9b1d4ff4p-2',
+                '0x1.a02fb53c0280dp-7', '0x1.91ad9aecdf131p-7'),
+    (3, 100): ('0x1.d5c4ec7d893d6p+3', '0x1.d4290bdd6c0b6p-2',
+               '0x1.14f42a255a5d0p-4', '0x1.267c693fea8c9p-4'),
+    (3, 257): ('0x1.d75190b257ba0p+3', '0x1.48c7f073b2c71p-1',
+               '0x1.997d11d0bb7efp-5', '0x1.3bfd61dd42c9ap-4'),
+    (3, 2000): ('0x1.d5f0f459543a4p+3', '0x1.3075e3663f12ep-1',
+                '0x1.1a82d432eeb80p-6', '0x1.54ca313474fbbp-6'),
+}
 
 
 class TestBudget:
@@ -98,6 +123,22 @@ class TestSurrogate:
         a = TimeSeriesSample(simulate_gaussian_batch(sur, RngStream(13), 1)[0])
         b = TimeSeriesSample(simulate_gaussian_batch(sur, RngStream(13), 1)[0])
         np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 2 * _SLAB - 1, 2 * _SLAB, 2 * _SLAB + 1, 257, 500])
+    @pytest.mark.parametrize("max_lag", [10, 119])
+    def test_batch_matches_reference_draw(self, p, count, max_lag):
+        # counts straddle the slab edges; max_lag 119 is the full range at
+        # N = 120. A VAR(1) x(n+1) = A x(n) + e(n) with a non-symmetric A
+        # has lags S(tau) = S(0) (A^tau)^T, so the factor mixes the channels
+        a = 0.6 * np.linalg.qr(RngStream(67).generator().standard_normal((p, p)))[0]
+        s0 = sum(np.linalg.matrix_power(a, k) @ np.linalg.matrix_power(a, k).T
+                 for k in range(200))
+        lags = np.array([s0 @ np.linalg.matrix_power(a, t).T for t in range(max_lag + 1)])
+        sur = GaussianSurrogate(CovarianceSequence(lags), 120)
+        got = simulate_gaussian_batch(sur, RngStream(71, count), count)
+        assert got.shape == (count, p, 120)
+        np.testing.assert_array_equal(got, direct_gaussian_batch(sur, RngStream(71, count), count))
 
 
 class TestCalibrateNull:
@@ -177,6 +218,34 @@ class TestCalibrateNull:
             "mean", "variance", "se_mean", "se_variance", "replicates",
             "clipping_norm",
         }
+
+    @pytest.mark.parametrize("p, replicates", sorted(_PINNED))
+    def test_pinned_values(self, p, replicates):
+        # any change to the draw, the chunking or the reduction that moves a
+        # bit of these shows here (recorded with numpy 2.4 on scipy-openblas
+        # 0.3.31; another BLAS may round differently)
+        mix = 0.6 * np.eye(p) + 0.4
+        sur = GaussianSurrogate(
+            CovarianceSequence(0.6 ** np.arange(31)[:, None, None] * mix), 200)
+        res = calibrate_null(sur, CalibrationBudget(replicates=replicates, seed=RngStream(61)))
+        got = (res.mean, res.variance, res.se_mean, res.se_variance)
+        assert tuple(map(float.hex, got)) == _PINNED[(p, replicates)]
+
+    def test_pool_size_does_not_change_the_result(self, monkeypatch):
+        # three workers, switching threads often, also run the
+        # errstate-decorated kernels concurrently
+        sur = GaussianSurrogate(_ar1_cov(0.5, 20, p=2), 150)
+        budget = CalibrationBudget(replicates=777, seed=RngStream(73))
+        results = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for workers in (1, 3):
+                monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: workers)
+                results.append(calibrate_null(sur, budget=budget))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1]
 
 
 class TestReplicateMoments:

@@ -27,7 +27,8 @@ from depnorm import (
     sample_cross_covariance,
     two_sided_p_value,
 )
-from depnorm.kurtosis import KurtosisValue, _fourth_moments, _projected_kurtosis
+from depnorm.kurtosis import (_SAMPLE_BLOCK, KurtosisValue, _fourth_moments,
+                              _projected_kurtosis)
 from depnorm.projection import rotation_matrix, sample_direction, sample_plane, sample_rotation
 from reference import direct_kurtosis
 
@@ -78,6 +79,19 @@ class TestMardiaKurtosis:
             a = gen.standard_normal((3, 3)) + 2 * np.eye(3)
             shifted = TimeSeriesSample(a @ x.data + gen.normal(size=(3, 1)))
             assert mardia_kurtosis(shifted).value == pytest.approx(base, rel=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
+    def test_statistic_is_scale_free(self, scale):
+        # each centered sample is reduced at a power-of-two scale, so S stays
+        # representable wherever the input does, and a power-of-two scale of
+        # the input changes no bit
+        data = RngStream(1).generator().standard_normal((2, 200))
+        base = mardia_kurtosis(TimeSeriesSample(data)).value
+        assert base == pytest.approx(7.34055493328440, rel=1e-14)
+        got = mardia_kurtosis(TimeSeriesSample(scale * data)).value
+        assert got == pytest.approx(base, rel=1e-12)
+        exponent = round(math.log2(scale))
+        assert mardia_kurtosis(TimeSeriesSample(np.ldexp(data, exponent))).value == base
 
     def test_singular_covariance_rejected(self):
         x = TimeSeriesSample(np.vstack([np.arange(50.0), 2 * np.arange(50.0)]))
@@ -151,6 +165,20 @@ class TestProjectedKurtosis:
         assert not ok[:, 1].any() and ok[:, 2].all()
         ok = self._check(np.eye(3)[None], batch)
         np.testing.assert_array_equal(ok[0], [False, False, True])
+
+    def test_blocked_reduction_matches_per_sample(self):
+        # R is not a multiple of the block; a collinear sample sits in the
+        # middle and a constant one, whose moments are NaN, ends a block
+        gen = RngStream(34).generator()
+        r = 2 * _SAMPLE_BLOCK + 5
+        batch = _mixed_batch(gen, 3, 10.0, r=r, n=60)
+        batch[r // 2, 2] = batch[r // 2, 0] + batch[r // 2, 1]
+        batch[_SAMPLE_BLOCK - 1] = 0.5
+        whole = _fourth_moments(batch)
+        assert np.isnan(whole[2][_SAMPLE_BLOCK - 1]).all()
+        for i in range(r):
+            for got, single in zip(whole, _fourth_moments(batch[i : i + 1])):
+                np.testing.assert_array_equal(got[i], single[0])
 
 
 class TestIidNullMoments:
@@ -444,6 +472,11 @@ class TestRunTest:
             except (DegenerateSampleError, CalibrationError, ValueError):
                 rep = None
         assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        # the statistic is scale-free, so a long enough plain sample passes
+        # the iid test at any scale; the colored kinds can still overflow in
+        # sample_cross_covariance
+        if kind == TestKind.MARDIA_IID and channel == "plain" and n >= max(p + 2, 4):
+            assert rep is not None
         if rep is not None:
             fields = (rep.statistic, rep.z, rep.p_value,
                       rep.null_moments.mean, rep.null_moments.variance)
