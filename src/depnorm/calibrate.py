@@ -15,10 +15,10 @@ its M projections.
 
 :func:`calibrate_null` draws its replicates in chunks of ``_CHUNK``, each
 from its own RNG substream, and runs the chunks (draw, then fourth-moment
-reduction) on a thread pool sized to the CPUs the process may use. numpy
-releases the GIL in the normal fills, FFTs and linear algebra that do the
-work, and the reductions are joined in chunk order, so the result is the
-same for any pool size and any scheduling.
+reduction) on a thread pool of one worker per usable CPU, at most
+``_MAX_WORKERS``. numpy releases the GIL in the normal fills, FFTs and linear
+algebra that do the work, and the reductions are joined in chunk order, so
+the result is the same for any pool size and any scheduling.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ logger = logging.getLogger(__name__)
 
 # Replicates per RNG substream; fixed so results never depend on scheduling.
 _CHUNK = 256
+
+# Chunks in flight at once; fixed so peak memory does not grow with the CPU
+# count. A chunk in flight holds about 11.5 MB at N=1000, p=2 (tracemalloc),
+# and two of them fit in the 24 MB a serial calibration peaks at there.
+_MAX_WORKERS = 2
 
 # Complex draws transformed at once; fixed so a draw's temporaries do not
 # grow with its replicate count.
@@ -147,7 +152,7 @@ def simulate_gaussian_batch(surrogate: GaussianSurrogate, rng: RngStream,
             np.multiply(surrogate._factor[:, i, 0], xi[..., 0], out=z[:, i])
             for j in range(1, p):
                 z[:, i] += surrogate._factor[:, i, j] * xi[..., j]
-        np.fft.ifft(z, axis=-1, out=z)
+        z = np.fft.ifft(z, axis=-1)
         z *= math.sqrt(k)
         out[2 * start : 2 * stop : 2] = z.real[..., :n]
         out[2 * start + 1 : 2 * stop : 2] = z.imag[..., :n]
@@ -215,9 +220,9 @@ def calibrate_null(surrogate: GaussianSurrogate,
     Replicates are drawn in fixed-size chunks, one RNG substream per chunk,
     so the result is reproducible from the budget seed, and each chunk is
     reduced to its fourth moments as soon as it is drawn. The chunks run on
-    a thread pool with one worker per usable CPU (at most one per chunk) and
-    their reductions are joined in chunk order, so the result depends on
-    neither the pool size nor the scheduling. Raises ``ValueError`` if the
+    a thread pool with one worker per usable CPU, at most ``_MAX_WORKERS``
+    and one per chunk, and their reductions are joined in chunk order, so
+    the result depends on neither the pool size nor the scheduling. Raises ``ValueError`` if the
     surrogate is too short for the statistic to depend on its data, and
     ``DegenerateSampleError`` if any replicate is degenerate.
     """
@@ -230,7 +235,7 @@ def calibrate_null(surrogate: GaussianSurrogate,
         return _fourth_moments(
             simulate_gaussian_batch(surrogate, budget.seed.substream(i), take))
 
-    with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
+    with ThreadPoolExecutor(min(_usable_cpus(), _MAX_WORKERS, len(starts))) as pool:
         parts = list(pool.map(reduce_chunk, range(len(starts))))
     null = tuple(np.concatenate(arrays) for arrays in zip(*parts))
     moments = _replicate_moments(np.eye(surrogate.p)[None], null)[:, 0]

@@ -93,9 +93,11 @@ class KurtosisValue:
 
 # A zero, overflowing or singular S gives NaN or inf in these two kernels,
 # which _projected_kurtosis marks as not ok, so their warnings are noise.
-# Kept as a decorator: numpy's errstate decorator holds its context token per
-# call, so the calibration's worker threads can run these kernels at once,
-# whereas a second thread entering a shared ``with _QUIET:`` raises TypeError.
+# Kept as a decorator, because the calibration's worker threads run these
+# kernels at once: numpy >= 2 holds the decorator's context token per call
+# (a second thread entering a shared ``with _QUIET:`` raises TypeError), and
+# numpy 1.x keeps the error state per thread, so each worker saves and
+# restores the same fresh-thread default.
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 # Samples reduced at once; fixed so the reduction's temporaries do not grow

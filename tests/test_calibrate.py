@@ -1,5 +1,6 @@
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from depnorm import (
     resolve_max_lag,
     simulate_gaussian_batch,
 )
-from depnorm.calibrate import _CHUNK, _SLAB, _moments_with_errors, _replicate_moments
+from depnorm.calibrate import (_CHUNK, _MAX_WORKERS, _SLAB, _moments_with_errors,
+                               _replicate_moments)
 from depnorm.kurtosis import _fourth_moments, _mardia_batch
 from depnorm.projection import sample_plane
 from reference import direct_gaussian_batch, direct_kurtosis
@@ -236,6 +238,7 @@ class TestCalibrateNull:
         # errstate-decorated kernels concurrently
         sur = GaussianSurrogate(_ar1_cov(0.5, 20, p=2), 150)
         budget = CalibrationBudget(replicates=777, seed=RngStream(73))
+        monkeypatch.setattr("depnorm.calibrate._MAX_WORKERS", 3)
         results = []
         interval = sys.getswitchinterval()
         try:
@@ -246,6 +249,23 @@ class TestCalibrateNull:
         finally:
             sys.setswitchinterval(interval)
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("cpus, replicates, workers",
+                             [(1, 2000, 1), (8, 2000, _MAX_WORKERS), (8, 200, 1)])
+    def test_pool_size(self, monkeypatch, cpus, replicates, workers):
+        # one worker per usable CPU, capped by _MAX_WORKERS and the chunk count
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr("depnorm.calibrate.ThreadPoolExecutor", Recording)
+        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: cpus)
+        sur = GaussianSurrogate(_ar1_cov(0.5, 5, p=2), 40)
+        calibrate_null(sur, CalibrationBudget(replicates=replicates, seed=RngStream(79)))
+        assert sizes == [workers]
 
 
 class TestReplicateMoments:
