@@ -56,7 +56,7 @@ _CHUNK = 256
 
 # Chunks in flight at once; fixed so peak memory does not grow with the CPU
 # count. A chunk in flight holds about 11.5 MB at N=1000, p=2 (tracemalloc),
-# and two of them fit in the 24 MB a serial calibration peaks at there.
+# so two keep a calibration's peak there near 24 MB.
 _MAX_WORKERS = 2
 
 # Complex draws transformed at once; fixed so a draw's temporaries do not
