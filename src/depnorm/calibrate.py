@@ -105,8 +105,7 @@ class GaussianSurrogate:
         k = next_fast_len(n + L + 1)
         circ = np.zeros((k, p, p))
         circ[: L + 1] = cov.lags
-        for tau in range(1, L + 1):
-            circ[k - tau] = cov.lags[tau].T
+        circ[k - L :] = cov.lags[:0:-1].transpose(0, 2, 1)  # S(-tau) = S(tau)^T
         spec = np.fft.fft(circ, axis=0)
         spec = (spec + np.conj(np.transpose(spec, (0, 2, 1)))) / 2.0
         w, v = np.linalg.eigh(spec)
@@ -195,13 +194,13 @@ def _replicate_moments(bases: np.ndarray,
     projection U z over the replicates z, shape (4, M), from the M bases
     (M, k, p) and the ``kurtosis._fourth_moments`` reduction ``null`` of the
     replicates, contracted in blocks of ``_BASIS_BLOCK``. A column is NaN
-    where the projection of any replicate is degenerate."""
-    out = np.full((4, len(bases)), np.nan)
+    where the projection of any replicate is degenerate, since ``math.fsum``
+    carries the NaN value of that replicate into every moment."""
+    out = np.empty((4, len(bases)))
     for start in range(0, len(bases), _BASIS_BLOCK):
-        values, ok = _projected_kurtosis(bases[start : start + _BASIS_BLOCK], null)
-        for m, (row, row_ok) in enumerate(zip(values, ok), start):
-            if row_ok.all():
-                out[:, m] = _moments_with_errors(row)
+        values = _projected_kurtosis(bases[start : start + _BASIS_BLOCK], null)
+        for m, row in enumerate(values, start):
+            out[:, m] = _moments_with_errors(row)
     return out
 
 
@@ -239,7 +238,7 @@ def calibrate_null(surrogate: GaussianSurrogate,
         parts = list(pool.map(reduce_chunk, range(len(starts))))
     null = tuple(np.concatenate(arrays) for arrays in zip(*parts))
     moments = _replicate_moments(np.eye(surrogate.p)[None], null)[:, 0]
-    if np.isnan(moments[0]):
+    if not np.isfinite(moments[0]):
         raise DegenerateSampleError(_DEGENERATE_MESSAGE)
     return CalibrationResult(*map(float, moments), budget.replicates,
                              surrogate.clipping_norm)

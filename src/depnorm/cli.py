@@ -17,14 +17,11 @@ from .copula import ArchimedeanFamily, GeneratorConfig, generate
 from .core import (
     CalibrationError,
     RngStream,
-    center,
     load_sample,
-    resolve_max_lag,
-    sample_cross_covariance,
     save_sample,
 )
 from .harness import DEFAULT_SEED, ExperimentConfig, reproduce_tables, run_experiment
-from .kurtosis import TestKind, run_test
+from .kurtosis import TestKind, _source_covariance, run_test
 
 
 _MAX_LAG_HELP = ("lags of the covariance sequence the colored nulls use "
@@ -107,8 +104,7 @@ def _cmd_test(args) -> int:
 def _cmd_calibrate(args) -> int:
     sample = load_sample(args.input)
     budget = CalibrationBudget(replicates=args.reps, seed=RngStream(args.seed, 0))
-    cov = sample_cross_covariance(center(sample), resolve_max_lag(args.max_lag, sample.n))
-    surrogate = GaussianSurrogate(cov, sample.n)
+    surrogate = GaussianSurrogate(_source_covariance(sample, args.max_lag), sample.n)
     result = calibrate_null(surrogate, budget=budget)
     print(json.dumps(result.to_dict(), sort_keys=True))
     return 0

@@ -5,31 +5,20 @@ The protocol per realization: draw one copula sample, project it M times
 (random directions for bivariate data, random planes for trivariate data,
 random in-plane rotations for the bivariate joint test), run each requested
 test on each projection, and report rejection counts per significance
-level. The source covariance sequence S(tau) is estimated once per
-realization, and both colored nulls of every projection come from it.
+level. The projected data are never formed. The sample is reduced once to
+its covariance and whitened fourth-moment matrix, and every projection's
+statistic is a contraction of these (``kurtosis._fourth_moments`` and
+``kurtosis._projected_kurtosis``, after Mardia 1970).
 
-The statistic of a projection U x depends on the sample only through its
-covariance S and its fourth-moment matrix M4 (Mardia 1970). Each sample is
-therefore reduced once to (S, M4), with M4 taken in whitened coordinates so
-that strongly mixed channels lose no precision, and every projection's
-statistic is a contraction of M4 with vec(P), where the p x p matrix P is
-built from U, S and the whitening factor (``kurtosis._fourth_moments`` and
-``kurtosis._projected_kurtosis``). The data statistic of all M projections
-comes from one such reduction. The lag-tau autocovariance of a scalar
-projection u x is u S(tau) u^T, so the colored scalar lag sums are
-contractions of the source sequence too, and the projected data are never
-formed.
-
-For the calibrated bivariate test the M per-projection nulls share one
-batch of source-dimension Gaussian replicates per realization: projecting
-Gaussian replicates matched to the source covariance sequence gives, for
-every projection matrix U, a Gaussian process whose covariance sequence is
-exactly U S(tau) U^T, the same law the per-projection surrogate would have.
-The batch is reduced to (S, M4) per replicate once, and the estimator of
-``calibrate_null``, ``calibrate._replicate_moments``, contracts the bases
-against it in fixed blocks of ``calibrate._BASIS_BLOCK``, so a realization
-costs one pass over the replicates plus O(M R p^4), and its peak memory does
-not grow with M.
+The source covariance sequence S(tau) is estimated once per realization,
+and ``kurtosis._null_moments`` gives the null of every projection from it,
+as it does for ``run_test``: the colored scalar lag sums contract
+u S(tau) u^T, and the calibrated bivariate null draws one batch of
+source-dimension Gaussian replicates matched to S(tau). Projected by U, the
+batch is a Gaussian process with covariance sequence U S(tau) U^T, the law
+a per-projection surrogate would have. It is reduced once and contracted
+against the bases in fixed blocks (``calibrate._replicate_moments``), so a
+realization's peak memory does not grow with M.
 """
 
 from __future__ import annotations
@@ -40,16 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import (MIN_REPLICATES, GaussianSurrogate, _replicate_moments,
-                        simulate_gaussian_batch)
+from .calibrate import MIN_REPLICATES, _replicate_moments, simulate_gaussian_batch
 from .copula import ArchimedeanFamily, GeneratorConfig, generate
 from .core import RngStream, center, resolve_max_lag, sample_cross_covariance
 from .kurtosis import (
     TestKind,
-    _colored_scalar_moments,
     _fourth_moments,
+    _null_moments,
     _projected_kurtosis,
-    iid_null_moments,
+    iid_null_moments,  # noqa: F401  (perfbench/tracing.py patches it here)
     two_sided_p_value,
 )
 from .projection import rotation_matrix, sample_direction, sample_plane, sample_rotation
@@ -307,26 +295,19 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
     cov = sample_cross_covariance(xc, resolve_max_lag(cfg.max_lag, cfg.n))
     bases = _draw_bases(cfg, stream.substream(_ANGLES, r).generator())
 
-    pvalues: dict[TestKind, np.ndarray] = {}
-    b_data, valid = _projected_kurtosis(bases, _fourth_moments(xc.data[None]))
-    b_data, valid = b_data[:, 0], valid[:, 0]
+    b_data = _projected_kurtosis(bases, _fourth_moments(xc.data[None]))[:, 0]
+    valid = np.isfinite(b_data)
 
+    def calibrate(surrogate):
+        # one batch of source replicates serves the null of every projection
+        null = _fourth_moments(simulate_gaussian_batch(
+            surrogate, stream.substream(_SURROGATE, r), cfg.calib_replicates))
+        return _replicate_moments(bases, null)
+
+    pvalues: dict[TestKind, np.ndarray] = {}
     for kind in cfg.tests:
-        # null (mean, var): scalars for iid, per-projection arrays otherwise
-        if kind == TestKind.MARDIA_IID:
-            mom = iid_null_moments(cfg.projection_dim, cfg.n)
-            mean, var = mom.mean, mom.variance
-        elif kind == TestKind.COLORED_SCALAR:
-            u = bases[:, 0]
-            mean, var = _colored_scalar_moments(
-                np.einsum("mp,tpq,mq->mt", u, cov.lags, u), cfg.n)
-        else:
-            surrogate = GaussianSurrogate(cov, cfg.n)
-            null = _fourth_moments(simulate_gaussian_batch(
-                surrogate, stream.substream(_SURROGATE, r), cfg.calib_replicates
-            ))
-            mean, var, _, _ = _replicate_moments(bases, null)
-            valid &= np.isfinite(mean)
+        mean, var, _, _ = _null_moments(kind, bases, cov, cfg.n, calibrate)
+        valid &= np.isfinite(mean)
         pvalues[kind] = two_sided_p_value((b_data - mean) / np.sqrt(var))
 
     return pvalues, valid

@@ -12,13 +12,19 @@ differ in the null moments used to standardize it:
   by the lagged autocovariances of the data;
 * ``COLORED_BIVARIATE``: Monte Carlo calibration against a Gaussian
   process matched to the estimated covariance sequence (p = 2).
+
+:func:`_null_moments` is the one place that computes each kind's null, for
+every projection U x of a sample at once; :func:`run_test` is its
+identity-basis case, and the study harness passes its M projections. NaN
+is the one marker of a degenerate projection, in the statistic and in the
+null alike.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -92,7 +98,7 @@ class KurtosisValue:
 
 
 # A zero, overflowing or singular S gives NaN or inf in these two kernels,
-# which _projected_kurtosis marks as not ok, so their warnings are noise.
+# which _projected_kurtosis turns into NaN values, so their warnings are noise.
 # Kept as a decorator, because the calibration's worker threads run these
 # kernels at once: numpy >= 2 holds the decorator's context token per call
 # (a second thread entering a shared ``with _QUIET:`` raises TypeError), and
@@ -105,19 +111,27 @@ _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 _SAMPLE_BLOCK = 32
 
 
+def _unit_scale(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each (p, N) sample of ``data`` (..., p, N) times the power of two that
+    brings its largest magnitude into [1/2, 1): exact, so it changes no ratio
+    of moments, but it keeps their products representable at any scale."""
+    _, exponent = np.frexp(np.abs(data).max(axis=(-2, -1)))
+    return np.ldexp(data, -exponent[..., None, None], out=out)
+
+
 @_QUIET
 def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sufficient statistics of B for every projection of a batch of
     samples, shape (R, p, N), reduced in blocks of ``_SAMPLE_BLOCK`` samples.
 
-    Centers each sample and scales it by the power of two that brings its
-    largest magnitude into [1/2, 1). B is scale-invariant and the scaling is
-    exact, so it changes no statistic, but it keeps S representable at any
-    scale of the input. Returns ``(s, whiten, m4)`` of the scaled samples:
-    the biased covariances S, shape (R, p, p); a whitening factor
-    L = Q Lambda^{1/2} from the eigendecomposition S = Q Lambda Q^T; and the
-    fourth-moment matrix M4 = (1/N) sum_n w(n) w(n)^T of the whitened sample
-    y = L^{-1} x, with w(n) = vec(y(n) y(n)^T), shape (R, p^2, p^2).
+    Centers each sample and scales it by :func:`_unit_scale`. B is
+    scale-invariant, so this changes no statistic, but it keeps S
+    representable at any scale of the input. Returns ``(s, whiten, m4)`` of
+    the scaled samples: the biased covariances S, shape (R, p, p); a
+    whitening factor L = Q Lambda^{1/2} from the eigendecomposition
+    S = Q Lambda Q^T; and the fourth-moment matrix
+    M4 = (1/N) sum_n w(n) w(n)^T of the whitened sample y = L^{-1} x, with
+    w(n) = vec(y(n) y(n)^T), shape (R, p^2, p^2).
 
     Whitening keeps the contraction in :func:`_projected_kurtosis` accurate
     when the channels are strongly mixed. Any invertible L gives the same
@@ -141,8 +155,7 @@ def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     for start in range(0, r, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
         x = batch[block] - batch[block].mean(axis=2, keepdims=True)
-        _, exponent = np.frexp(np.abs(x).max(axis=(1, 2)))
-        np.ldexp(x, -exponent[:, None, None], out=x)
+        _unit_scale(x, out=x)
         s[block] = x @ x.transpose(0, 2, 1) / n
         lam, q = np.linalg.eigh(s[block])
         scale = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[:, -1:]))
@@ -159,19 +172,18 @@ def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 @_QUIET
 def _projected_kurtosis(bases: np.ndarray,
                         moments: tuple[np.ndarray, np.ndarray, np.ndarray],
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Statistic of every projection U x of every sample, shape (M, R), plus
-    a validity mask, from the ``moments`` of :func:`_fourth_moments`.
+                        ) -> np.ndarray:
+    """Statistic of every projection U x of every sample, shape (M, R), from
+    the ``moments`` of :func:`_fourth_moments`.
 
     ``bases`` holds the M projection matrices U, shape (M, k, p). With
     q(n) = x(n)^T U^T (U S U^T)^{-1} U x(n) = y(n)^T P y(n) and
     P = (UL)^T (U S U^T)^{-1} (UL), the statistic is the contraction
     vec(P)^T M4 vec(P). One eigendecomposition U S U^T = Q Lambda Q^T gives
     both the degeneracy rule and P = G^T G with G = Lambda^{-1/2} Q^T (UL).
-    ``ok`` is False (and the value NaN) where U S U^T is numerically
-    singular, that is where its smallest eigenvalue is not a positive normal
-    float or its condition number is at least ``_MAX_CONDITION``, and where
-    the value overflows.
+    A value is NaN where U S U^T is numerically singular, that is where its
+    smallest eigenvalue is not a positive normal float or its condition
+    number is at least ``_MAX_CONDITION``, and where it overflows.
     """
     s, whiten, m4 = moments
     u = bases[:, None]
@@ -180,86 +192,106 @@ def _projected_kurtosis(bases: np.ndarray,
     g = (q.swapaxes(-1, -2) @ (u @ whiten)) / np.sqrt(lam)[..., None]
     vec = (g.swapaxes(-1, -2) @ g).reshape(*ok.shape, -1)
     values = np.sum((vec[..., None, :] @ m4)[..., 0, :] * vec, axis=-1)
-    ok &= np.isfinite(values)
-    values[~ok] = np.nan
-    return values, ok
+    values[~(ok & np.isfinite(values))] = np.nan
+    return values
 
 
-def _mardia_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Statistic for a batch of samples, shape (R, p, N), plus a validity
-    mask: the identity-basis case of :func:`_projected_kurtosis`."""
-    values, ok = _projected_kurtosis(np.eye(batch.shape[1])[None], _fourth_moments(batch))
-    return values[0], ok[0]
+def _mardia_batch(batch: np.ndarray) -> np.ndarray:
+    """Statistic for a batch of samples, shape (R, p, N), NaN where a sample
+    is degenerate: the identity-basis case of :func:`_projected_kurtosis`."""
+    return _projected_kurtosis(np.eye(batch.shape[1])[None], _fourth_moments(batch))[0]
 
 
 def mardia_kurtosis(x: TimeSeriesSample) -> KurtosisValue:
     """Evaluate the kurtosis statistic on one sample (centering included)."""
-    values, ok = _mardia_batch(x.data[None])
-    if not ok[0]:
+    value = _mardia_batch(x.data[None])[0]
+    if not np.isfinite(value):
         raise DegenerateSampleError(_DEGENERATE_MESSAGE)
-    return KurtosisValue(float(values[0]), x.p, x.n)
+    return KurtosisValue(float(value), x.p, x.n)
+
+
+_SOURCES = {TestKind.MARDIA_IID: MomentSource.IID_CLOSED_FORM,
+            TestKind.COLORED_SCALAR: MomentSource.COLORED_SCALAR_CLOSED_FORM,
+            TestKind.COLORED_BIVARIATE: MomentSource.MONTE_CARLO_CALIBRATED}
+
+
+def _null_moments(kind: TestKind, bases: np.ndarray, cov: CovarianceSequence | None,
+                  n: int, calibrate=None) -> np.ndarray:
+    """Null mean, variance, se_mean and se_variance of the statistic of each
+    projection U x of a sample x of length N, shape (4, M), from the M bases
+    U (M, k, p) and the lags of x up to N-1 in ``cov`` (unused by
+    ``MARDIA_IID``). The SEs of the closed forms are 0; NaN marks a
+    degenerate null.
+
+    * ``MARDIA_IID``: mean k(k+2)(N-1)/(N+1), variance 8k(k+2)/N.
+    * ``COLORED_SCALAR``: with s(tau) = u S(tau) u^T, NaN where s(0) <= 0,
+      mean = 3 - 6/N - (12/N^2) sum_{tau>=1} (N-tau) s(tau)^2 / s(0)^2 and
+      var = (24/N) [1 + (2/N) sum_{tau>=1} (N-tau) s(tau)^4 / s(0)^4];
+      asymptotic (o(1/N) dropped), and with an all-zero tail the i.i.d.
+      case up to O(1/N^2) in the mean.
+    * ``COLORED_BIVARIATE``: ``calibrate`` maps the Gaussian surrogate of
+      ``cov`` to the Monte Carlo moments (closed forms exist only as leading
+      terms, 8 - 16/N and 64/N plus lag corrections).
+    """
+    m, k = bases.shape[:2]
+    if kind == TestKind.MARDIA_IID:
+        mean, var = k * (k + 2) * (n - 1) / (n + 1), 8.0 * k * (k + 2) / n
+        return np.repeat([[mean], [var], [0.0], [0.0]], m, axis=1)
+    cov = cov.truncated(resolve_max_lag(cov.max_lag, n))
+    if kind == TestKind.COLORED_BIVARIATE:
+        from .calibrate import GaussianSurrogate
+        return calibrate(GaussianSurrogate(cov, n))
+    u = bases[:, 0]
+    lags = np.einsum("mp,tpq,mq->mt", u, cov.lags, u)
+    r2 = (lags[:, 1:] / np.where(lags[:, :1] > 0, lags[:, :1], np.nan)) ** 2
+    tau = np.arange(1, lags.shape[1])
+    mean = 3.0 - 6.0 / n - (12.0 / n**2) * np.sum((n - tau) * r2, axis=1)
+    var = (24.0 / n) * (1.0 + (2.0 / n) * np.sum((n - tau) * r2**2, axis=1))
+    return np.stack([mean, var, np.zeros(m), np.zeros(m)])
+
+
+def _sample_null(kind: TestKind, p: int, cov: CovarianceSequence | None, n: int,
+                 budget=None) -> NullMoments:
+    """The identity-basis case of :func:`_null_moments` for one p-variate
+    sample, calibrated by ``calibrate_null`` under ``budget``; raises
+    ``DegenerateSampleError`` for a degenerate null."""
+    from .calibrate import calibrate_null
+
+    kind.check_dim(p, n)
+    mean, var, _, _ = _null_moments(
+        kind, np.eye(p)[None], cov, n,
+        lambda surrogate: np.array(astuple(calibrate_null(surrogate, budget))[:4])[:, None],
+    )[:, 0]
+    if not np.isfinite(mean):
+        raise DegenerateSampleError(_DEGENERATE_MESSAGE)
+    return NullMoments(float(mean), float(var), _SOURCES[kind],
+                       max_lag=None if cov is None else resolve_max_lag(cov.max_lag, n))
+
+
+def _source_covariance(x: TimeSeriesSample, max_lag: int | None) -> CovarianceSequence:
+    """Lags of the centered x up to ``max_lag`` (see ``resolve_max_lag``), at
+    the scale of :func:`_unit_scale`: the colored nulls depend on them only
+    up to scale, and this one keeps them representable."""
+    xc = TimeSeriesSample(_unit_scale(center(x).data))
+    return sample_cross_covariance(xc, resolve_max_lag(max_lag, x.n))
 
 
 def iid_null_moments(p: int, n: int) -> NullMoments:
     """Asymptotic null mean p(p+2)(N-1)/(N+1) and variance 8p(p+2)/N."""
-    TestKind.MARDIA_IID.check_dim(p, n)
-    return NullMoments(
-        mean=p * (p + 2) * (n - 1) / (n + 1),
-        variance=8.0 * p * (p + 2) / n,
-        source=MomentSource.IID_CLOSED_FORM,
-    )
-
-
-def _colored_scalar_moments(lags: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Null mean and variance of B_1 for each row of lagged autocovariances.
-
-    ``lags`` is ``(m, L + 1)`` holding S(0..L) per row; rows with S(0) <= 0
-    give non-finite moments.
-
-    mean = 3 - 6/N - (12/N^2) sum_{tau=1}^{L} (N-tau) S(tau)^2 / S(0)^2
-    var  = (24/N) [1 + (2/N) sum_{tau=1}^{L} (N-tau) S(tau)^4 / S(0)^4]
-
-    Both are asymptotic (o(1/N) remainders dropped); with an all-zero tail
-    they reduce to the i.i.d. case up to O(1/N^2) in the mean.
-    """
-    tau = np.arange(1, lags.shape[1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r2 = (lags[:, 1:] / lags[:, :1]) ** 2
-    mean = 3.0 - 6.0 / n - (12.0 / n**2) * np.sum((n - tau) * r2, axis=1)
-    var = (24.0 / n) * (1.0 + (2.0 / n) * np.sum((n - tau) * r2**2, axis=1))
-    return mean, var
+    return _sample_null(TestKind.MARDIA_IID, p, None, n)
 
 
 def colored_scalar_null_moments(cov: CovarianceSequence, n: int) -> NullMoments:
     """Null moments of B_1 for a stationary scalar process, from the lags
-    of ``cov`` up to N-1 (see :func:`_colored_scalar_moments`)."""
-    TestKind.COLORED_SCALAR.check_dim(cov.p, n)
-    s0 = cov.lags[0, 0, 0]
-    if not s0 > 0:
-        raise DegenerateSampleError(f"S(0) must be positive, got {s0}")
-    L = resolve_max_lag(cov.max_lag, n)
-    mean, var = _colored_scalar_moments(cov.lags[None, : L + 1, 0, 0], n)
-    return NullMoments(float(mean[0]), float(var[0]),
-                       MomentSource.COLORED_SCALAR_CLOSED_FORM, max_lag=L)
+    of ``cov`` up to N-1 (see :func:`_null_moments`)."""
+    return _sample_null(TestKind.COLORED_SCALAR, cov.p, cov, n)
 
 
 def colored_bivariate_null_moments(cov: CovarianceSequence, n: int, budget=None) -> NullMoments:
     """Null moments of B_2 for a stationary bivariate process, by parametric
-    Monte Carlo against a Gaussian surrogate matching ``cov``.
-
-    The surrogate uses the lags of ``cov`` up to N-1, and the moments record
-    that lag. Closed forms exist only as leading terms (8 - 16/N and 64/N
-    plus lag corrections); the calibration replaces them and reports its own
-    uncertainty through the budget's replicate count.
-    """
-    from .calibrate import GaussianSurrogate, calibrate_null
-
-    TestKind.COLORED_BIVARIATE.check_dim(cov.p, n)
-    max_lag = resolve_max_lag(cov.max_lag, n)
-    surrogate = GaussianSurrogate(cov.truncated(max_lag), n)
-    result = calibrate_null(surrogate, budget=budget)
-    return NullMoments(result.mean, result.variance,
-                       MomentSource.MONTE_CARLO_CALIBRATED, max_lag=max_lag)
+    Monte Carlo against a Gaussian surrogate matching the lags of ``cov`` up
+    to N-1 (see :func:`_null_moments`)."""
+    return _sample_null(TestKind.COLORED_BIVARIATE, cov.p, cov, n, budget)
 
 
 def two_sided_p_value(z: float | np.ndarray) -> float | np.ndarray:
@@ -292,22 +324,10 @@ def run_test(
     kind.check_dim(x.p, x.n)
 
     stat = mardia_kurtosis(x)
-    if kind == TestKind.MARDIA_IID:
-        moments = iid_null_moments(x.p, x.n)
-    else:
-        cov = sample_cross_covariance(center(x), resolve_max_lag(max_lag, x.n))
-        if kind == TestKind.COLORED_SCALAR:
-            moments = colored_scalar_null_moments(cov, x.n)
-        else:
-            moments = colored_bivariate_null_moments(cov, x.n, budget)
+    cov = None if kind == TestKind.MARDIA_IID else _source_covariance(x, max_lag)
+    moments = _sample_null(kind, x.p, cov, x.n, budget)
 
     z = (stat.value - moments.mean) / math.sqrt(moments.variance)
     p_value = two_sided_p_value(z)
-    return TestReport(
-        statistic=stat.value,
-        z=z,
-        p_value=p_value,
-        alpha=alpha,
-        reject=bool(p_value < alpha),
-        null_moments=moments,
-    )
+    return TestReport(statistic=stat.value, z=z, p_value=p_value, alpha=alpha,
+                      reject=bool(p_value < alpha), null_moments=moments)

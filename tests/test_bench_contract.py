@@ -3,11 +3,18 @@ attribute; every target it names must exist, or ``--trace 1`` fails."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "depnorm"
+
+# An import line kept only so the tracer can patch the name in that module.
+_TRACER_ONLY = re.compile(
+    r"^\s*(?:from \S+ import )?(\w+),?\s*# noqa: F401\s+\(perfbench/tracing\.py patches it here\)",
+    re.MULTILINE)
 
 
 def _tracing():
@@ -26,6 +33,15 @@ def test_function_span_target_resolves(module, attr, layer, span):
 def test_method_span_target_resolves(module, cls, attr, layer, span):
     owner = getattr(importlib.import_module(module), cls)
     assert callable(owner.__dict__[attr])
+
+
+def test_tracer_only_imports_name_a_span_target():
+    # a name imported only for the tracer must not outlive its span
+    targets = {(module, attr) for module, attr, _, _ in _tracing().FUNCTION_SPANS}
+    imports = [(f"depnorm.{path.stem}", name) for path in sorted(SOURCES.glob("*.py"))
+               for name in _TRACER_ONLY.findall(path.read_text())]
+    assert imports
+    assert [imp for imp in imports if imp not in targets] == []
 
 
 def test_tracer_installs_and_restores():

@@ -310,7 +310,7 @@ class TestReplicateMoments:
         for i, start in enumerate(range(0, replicates, _CHUNK)):
             batch = simulate_gaussian_batch(sur, budget.seed.substream(i),
                                             min(_CHUNK, replicates - start))
-            values.append(_mardia_batch(batch)[0])
+            values.append(_mardia_batch(batch))
         expected = _moments_with_errors(np.concatenate(values))
         res = calibrate_null(sur, budget=budget)
         assert (res.mean, res.variance, res.se_mean, res.se_variance) == expected

@@ -95,6 +95,18 @@ class TestCalibrate:
         assert payload["replicates"] == 200
         assert payload["variance"] > 0
 
+    def test_power_of_two_scale_changes_nothing(self, tmp_path, capsys):
+        # the lags are taken at a power-of-two scale, so 2^900 neither
+        # overflows the covariance sequence nor moves a bit of the record
+        out = _generate(tmp_path)
+        scaled = tmp_path / "scaled.csv"
+        write_csv(TimeSeriesSample(np.ldexp(load_sample(out).data, 900)), scaled)
+        payloads = []
+        for path in (out, scaled):
+            assert main(["calibrate", "--in", str(path), "--reps", "200", "--seed", "4"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[0] == payloads[1]
+
 
 class TestExperiment:
     def test_runs_from_config_file(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from depnorm import (
     CalibrationError,
     CovarianceSequence,
     DegenerateSampleError,
+    GaussianSurrogate,
     GeneratorConfig,
     MomentSource,
     RngStream,
@@ -27,7 +28,7 @@ from depnorm import (
     sample_cross_covariance,
     two_sided_p_value,
 )
-from depnorm.kurtosis import (_SAMPLE_BLOCK, KurtosisValue, _fourth_moments,
+from depnorm.kurtosis import (_SAMPLE_BLOCK, KurtosisValue, _fourth_moments, _null_moments,
                               _projected_kurtosis)
 from depnorm.projection import rotation_matrix, sample_direction, sample_plane, sample_rotation
 from reference import direct_kurtosis
@@ -133,13 +134,15 @@ class TestProjectedKurtosis:
     evaluation of every projected sample."""
 
     def _check(self, bases, batch):
-        values, ok = _projected_kurtosis(bases, _fourth_moments(batch))
-        assert values.shape == ok.shape == (len(bases), len(batch))
+        # NaN is the one degeneracy marker: every other value is finite
+        values = _projected_kurtosis(bases, _fourth_moments(batch))
+        ok = ~np.isnan(values)
+        assert values.shape == (len(bases), len(batch))
+        assert np.isfinite(values[ok]).all()
         for m, u in enumerate(bases):
             ref, ref_ok = direct_kurtosis(np.einsum("kp,rpn->rkn", u, batch))
             np.testing.assert_array_equal(ok[m], ref_ok)
             np.testing.assert_allclose(values[m][ok[m]], ref[ref_ok], rtol=1e-9)
-            assert np.isnan(values[m][~ok[m]]).all()
         return ok
 
     @pytest.mark.parametrize("kind", sorted(_BASES))
@@ -286,6 +289,49 @@ class TestColoredBivariateMoments:
         cov = CovarianceSequence(np.ones((1, 1, 1)))
         with pytest.raises(ValueError):
             colored_bivariate_null_moments(cov, 100)
+
+
+class TestNullMoments:
+    """The null of every projection against the public single-sample
+    functions on each projected covariance sequence U S(tau) U^T."""
+
+    @staticmethod
+    def _source_cov(p, max_lag):
+        gen = RngStream(89).generator()
+        x = TimeSeriesSample(gen.standard_normal((p, p)) @ gen.standard_normal((p, 400)))
+        return sample_cross_covariance(center(x), max_lag)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [200, 20])  # lags up to 30, and up to N-1 = 19
+    def test_colored1_matches_the_projected_sequence(self, p, n):
+        cov = self._source_cov(p, 30)
+        bases = RngStream(97).generator().standard_normal((12, 1, p))
+        bases[-1] = 0.0  # s(0) = 0: a degenerate null
+        got = _null_moments(TestKind.COLORED_SCALAR, bases, cov, n)
+        assert got.shape == (4, len(bases))
+        for col, u in zip(got.T[:-1], bases):
+            ref = colored_scalar_null_moments(CovarianceSequence(u @ cov.lags @ u.T), n)
+            np.testing.assert_allclose(col, [ref.mean, ref.variance, 0.0, 0.0], rtol=1e-12)
+        assert np.isnan(got[:2, -1]).all()
+
+    @pytest.mark.parametrize("k, p", [(1, 2), (2, 2), (2, 3), (3, 3)])
+    def test_iid_matches_the_closed_form(self, k, p):
+        bases = RngStream(101).generator().standard_normal((5, k, p))
+        got = _null_moments(TestKind.MARDIA_IID, bases, None, 300)
+        ref = iid_null_moments(k, 300)
+        assert got.shape == (4, len(bases))
+        assert (got.T == [ref.mean, ref.variance, 0.0, 0.0]).all()
+
+    def test_colored2_calibrates_the_surrogate_of_the_used_lags(self):
+        cov = self._source_cov(3, 30)
+        bases = np.array([sample_plane(RngStream(103).generator()).basis()] * 4)
+        seen = []
+        got = _null_moments(TestKind.COLORED_BIVARIATE, bases, cov, 20,
+                            lambda surrogate: seen.append(surrogate) or np.ones((4, 4)))
+        assert (got == 1.0).all() and len(seen) == 1 and seen[0].n == 20
+        ref = GaussianSurrogate(cov.truncated(19), 20)
+        assert seen[0]._k == ref._k
+        np.testing.assert_array_equal(seen[0]._factor, ref._factor)
 
 
 class TestPValues:
@@ -472,15 +518,38 @@ class TestRunTest:
             except (DegenerateSampleError, CalibrationError, ValueError):
                 rep = None
         assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-        # the statistic is scale-free, so a long enough plain sample passes
-        # the iid test at any scale; the colored kinds can still overflow in
-        # sample_cross_covariance
-        if kind == TestKind.MARDIA_IID and channel == "plain" and n >= max(p + 2, 4):
+        # the statistic and the colored scalar null are scale-free, so a long
+        # enough plain sample passes both closed-form tests at any scale (the
+        # calibrated test may still reject a truncated covariance model)
+        closed_form = kind == TestKind.MARDIA_IID or (kind == TestKind.COLORED_SCALAR and p == 1)
+        if closed_form and channel == "plain" and n >= max(p + 2, 4):
             assert rep is not None
         if rep is not None:
             fields = (rep.statistic, rep.z, rep.p_value,
                       rep.null_moments.mean, rep.null_moments.variance)
             assert np.all(np.isfinite(fields))
+
+    @pytest.mark.parametrize("kind", list(TestKind))
+    def test_reports_are_scale_free(self, kind):
+        # the colored nulls take the lags at a power-of-two scale, so a
+        # power-of-two scale of the input changes no bit of a report, and any
+        # other scale only its rounding. The calibrated null moves more (up
+        # to ~1e-9): the full-lag spectral matrices have rank one, so their
+        # second eigenvalue is rounding noise, and its square root (~1e-7 of
+        # the spectral norm) enters the surrogate's factor.
+        data = RngStream(1).generator().standard_normal((2, 400))
+        if kind == TestKind.COLORED_SCALAR:
+            data = data[:1]
+        budget = CalibrationBudget(replicates=200, seed=RngStream(5))
+        base = run_test(TimeSeriesSample(data), kind, 0.05, budget=budget)
+        for exponent in (-900, 900):
+            x = TimeSeriesSample(np.ldexp(data, exponent))
+            assert run_test(x, kind, 0.05, budget=budget) == base
+        for scale in (1e-300, 1e-160, 1e160, 1e300):
+            rep = run_test(TimeSeriesSample(scale * data), kind, 0.05, budget=budget)
+            assert rep.null_moments.max_lag == base.null_moments.max_lag
+            tol = 1e-8 if kind == TestKind.COLORED_BIVARIATE else 1e-12
+            assert rep.to_dict() == pytest.approx(base.to_dict(), rel=0.0, abs=tol)
 
     def test_alpha_validated(self):
         x = TimeSeriesSample(RngStream(71).generator().standard_normal((1, 100)))
