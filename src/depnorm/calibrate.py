@@ -19,6 +19,16 @@ reduction) on a thread pool of one worker per usable CPU, at most
 ``_MAX_WORKERS``. numpy releases the GIL in the normal fills, FFTs and linear
 algebra that do the work, and the reductions are joined in chunk order, so
 the result is the same for any pool size and any scheduling.
+
+The study harness draws all its replicates from one substream, so its
+chunks cannot run apart. :func:`_draw_reduced` pipelines that one draw
+instead: the calling thread draws the normals in stream order, and it and
+a pool of one worker fewer than ``calibrate_null`` runs transform each slab
+of ``_SLAB`` complex draws (:func:`_transform_slab`, shared with
+:func:`simulate_gaussian_batch`) and reduce its replicates, exactly one
+``kurtosis._SAMPLE_BLOCK``, into their rows of the moments
+(``kurtosis._reduce_block``, shared with ``_fourth_moments``). The result is
+bit-identical to reducing the whole batch, and the batch is never formed.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -38,8 +49,8 @@ from .core import (
     DegenerateSampleError,
     RngStream,
 )
-from .kurtosis import (_DEGENERATE_MESSAGE, _check_length, _fourth_moments,
-                       _projected_kurtosis)
+from .kurtosis import (_DEGENERATE_MESSAGE, _SAMPLE_BLOCK, _check_length, _empty_moments,
+                       _fourth_moments, _projected_kurtosis, _reduce_block)
 
 __all__ = [
     "CalibrationBudget",
@@ -60,8 +71,13 @@ _CHUNK = 256
 _MAX_WORKERS = 2
 
 # Complex draws transformed at once; fixed so a draw's temporaries do not
-# grow with its replicate count.
-_SLAB = 16
+# grow with its replicate count. A slab's replicates fill exactly one
+# reduction block, so _draw_reduced reduces the blocks _fourth_moments does.
+_SLAB = _SAMPLE_BLOCK // 2
+
+# Slabs _draw_reduced holds drawn and not yet reduced; fixed so its
+# temporaries do not grow with the replicate count or the CPU count.
+_IN_FLIGHT = 4
 
 # Projections contracted at once; fixed so peak memory does not grow with M.
 _BASIS_BLOCK = 64
@@ -128,6 +144,42 @@ class GaussianSurrogate:
         self.p = p
 
 
+def _transform_slab(surrogate: GaussianSurrogate, real: np.ndarray, imag: np.ndarray,
+                    out: np.ndarray) -> None:
+    """Write the replicates of the complex draws ``real + 1j * imag``, each
+    part (h, K, p), into ``out`` (2h, p, N) or its first 2h - 1 rows: draw g
+    gives replicates 2g (real part) and 2g + 1 (imaginary part)."""
+    k, p, n = surrogate._k, surrogate.p, surrogate.n
+    # z[:, i] = sum_j B[:, i, j] xi[..., j], summed left to right, with the
+    # complex normals xi formed one channel at a time
+    z = np.empty((len(real), p, k), dtype=complex)
+    for j in range(p):
+        xi = real[..., j] + 1j * imag[..., j]
+        for i in range(p):
+            if j == 0:
+                np.multiply(surrogate._factor[:, i, 0], xi, out=z[:, i])
+            else:
+                z[:, i] += surrogate._factor[:, i, j] * xi
+    z = np.fft.ifft(z, axis=-1)
+    z *= math.sqrt(k)
+    out[0::2] = z.real[: (len(out) + 1) // 2, :, :n]
+    out[1::2] = z.imag[: len(out) // 2, :, :n]
+
+
+def _normal_draws(surrogate: GaussianSurrogate, rng: RngStream, count: int):
+    """The normals behind ``count`` replicates, as (start, real, imag) per
+    slab of ``_SLAB`` complex draws: the stream holds the real normals of
+    every draw, then the imaginary ones, drawn slab by slab as the slabs are
+    taken."""
+    gen = rng.generator()
+    k, p = surrogate._k, surrogate.p
+    half = (count + 1) // 2
+    real = gen.standard_normal((half, k, p))
+    for start in range(0, half, _SLAB):
+        stop = min(start + _SLAB, half)
+        yield start, real[start:stop], gen.standard_normal((stop - start, k, p))
+
+
 def simulate_gaussian_batch(surrogate: GaussianSurrogate, rng: RngStream,
                             count: int) -> np.ndarray:
     """Draw ``count`` independent replicates, shape (count, p, N).
@@ -137,25 +189,72 @@ def simulate_gaussian_batch(surrogate: GaussianSurrogate, rng: RngStream,
     imaginary ones; the imaginary normals are drawn and transformed in slabs
     of ``_SLAB`` draws, so the complex temporaries do not grow with count.
     """
-    gen = rng.generator()
-    k, p, n = surrogate._k, surrogate.p, surrogate.n
-    half = (count + 1) // 2
-    real = gen.standard_normal((half, k, p))
-    out = np.empty((2 * half, p, n))
-    for start in range(0, half, _SLAB):
-        stop = min(start + _SLAB, half)
-        xi = real[start:stop] + 1j * gen.standard_normal((stop - start, k, p))
-        # z[:, i] = sum_j B[:, i, j] xi[..., j], summed left to right
-        z = np.empty((stop - start, p, k), dtype=complex)
-        for i in range(p):
-            np.multiply(surrogate._factor[:, i, 0], xi[..., 0], out=z[:, i])
-            for j in range(1, p):
-                z[:, i] += surrogate._factor[:, i, j] * xi[..., j]
-        z = np.fft.ifft(z, axis=-1)
-        z *= math.sqrt(k)
-        out[2 * start : 2 * stop : 2] = z.real[..., :n]
-        out[2 * start + 1 : 2 * stop : 2] = z.imag[..., :n]
-    return out[:count]
+    out = np.empty((count, surrogate.p, surrogate.n))
+    for start, real, imag in _normal_draws(surrogate, rng, count):
+        _transform_slab(surrogate, real, imag, out[2 * start : 2 * (start + _SLAB)])
+    return out
+
+
+def _draw_reduced(surrogate: GaussianSurrogate, rng: RngStream,
+                  count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_fourth_moments(simulate_gaussian_batch(surrogate, rng, count))``,
+    bit for bit, without forming the (count, p, N) batch.
+
+    The calling thread draws the normals in stream order. It and a pool of
+    one worker fewer than the usable CPUs, at most ``_MAX_WORKERS`` threads
+    in all, transform each slab and reduce its 2 * ``_SLAB`` replicates, one
+    ``_SAMPLE_BLOCK``, into the rows of the preallocated moments that
+    ``_fourth_moments`` would give them. At most ``_IN_FLIGHT`` slabs are
+    drawn and not yet reduced, so the slab temporaries do not grow with
+    count; a failed slab stops the draw.
+    """
+    moments = _empty_moments(count, surrogate.p)
+
+    def reduce_slab(start: int, real: np.ndarray, imag: np.ndarray) -> None:
+        rows = slice(2 * start, min(2 * (start + _SLAB), count))
+        batch = np.empty((rows.stop - rows.start, surrogate.p, surrogate.n))
+        _transform_slab(surrogate, real, imag, batch)
+        _reduce_block(batch, *(out[rows] for out in moments))
+
+    workers = min(_usable_cpus(), _MAX_WORKERS) - 1
+    if workers == 0:
+        for slab in _normal_draws(surrogate, rng, count):
+            reduce_slab(*slab)
+        return moments
+
+    # (future, slab), oldest first. The caller is one of the threads: when
+    # _IN_FLIGHT slabs wait, it reduces one no worker has started rather
+    # than wait for a slot. So the threads never outnumber the CPUs, and the
+    # draw, the one part that must run in order, shares no CPU with them.
+    in_flight: deque = deque()
+
+    def settle(room: int) -> None:
+        # leave at most `room` slabs in flight, raising a worker's error
+        while in_flight:
+            if in_flight[0][0].done():
+                in_flight.popleft()[0].result()
+            elif len(in_flight) <= room:
+                return
+            else:
+                for i in reversed(range(len(in_flight))):
+                    future, slab = in_flight[i]
+                    if future.cancel():
+                        del in_flight[i]
+                        reduce_slab(*slab)
+                        break
+                else:
+                    in_flight[0][0].result()
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for slab in _normal_draws(surrogate, rng, count):
+                settle(_IN_FLIGHT - 1)
+                in_flight.append((pool.submit(reduce_slab, *slab), slab))
+            settle(0)
+        finally:
+            for future, _ in in_flight:
+                future.cancel()
+    return moments
 
 
 @dataclass(frozen=True)

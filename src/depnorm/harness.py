@@ -16,9 +16,11 @@ as it does for ``run_test``: the colored scalar lag sums contract
 u S(tau) u^T, and the calibrated bivariate null draws one batch of
 source-dimension Gaussian replicates matched to S(tau). Projected by U, the
 batch is a Gaussian process with covariance sequence U S(tau) U^T, the law
-a per-projection surrogate would have. It is reduced once and contracted
-against the bases in fixed blocks (``calibrate._replicate_moments``), so a
-realization's peak memory does not grow with M.
+a per-projection surrogate would have. It is drawn and reduced slab by slab
+on a thread pool (``calibrate._draw_reduced``), bit-identical to reducing
+the whole batch, and contracted against the bases in fixed blocks
+(``calibrate._replicate_moments``), so a realization's peak memory does not
+grow with M or with the replicate count.
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import MIN_REPLICATES, _replicate_moments, simulate_gaussian_batch
+from .calibrate import (
+    MIN_REPLICATES,
+    _draw_reduced,
+    _replicate_moments,
+    simulate_gaussian_batch,  # noqa: F401  (perfbench/tracing.py patches it here)
+)
 from .copula import ArchimedeanFamily, GeneratorConfig, generate
 from .core import RngStream, center, resolve_max_lag, sample_cross_covariance
 from .kurtosis import (
@@ -300,9 +307,8 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
 
     def calibrate(surrogate):
         # one batch of source replicates serves the null of every projection
-        null = _fourth_moments(simulate_gaussian_batch(
+        return _replicate_moments(bases, _draw_reduced(
             surrogate, stream.substream(_SURROGATE, r), cfg.calib_replicates))
-        return _replicate_moments(bases, null)
 
     pvalues: dict[TestKind, np.ndarray] = {}
     for kind in cfg.tests:

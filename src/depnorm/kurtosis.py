@@ -97,13 +97,14 @@ class KurtosisValue:
             raise ValueError(f"kurtosis {self.value} below the lower bound p={self.p}")
 
 
-# A zero, overflowing or singular S gives NaN or inf in these two kernels,
-# which _projected_kurtosis turns into NaN values, so their warnings are noise.
-# Kept as a decorator, because the calibration's worker threads run these
-# kernels at once: numpy >= 2 holds the decorator's context token per call
-# (a second thread entering a shared ``with _QUIET:`` raises TypeError), and
-# numpy 1.x keeps the error state per thread, so each worker saves and
-# restores the same fresh-thread default.
+# A zero, overflowing or singular S gives NaN or inf in _reduce_block and
+# _projected_kurtosis, which the latter turns into NaN values, so their
+# warnings are noise. Kept as a decorator, because worker threads run these
+# kernels at once (calibrate_null's chunk pool, and the slab pipeline of the
+# harness's one-batch draw): numpy >= 2 holds the decorator's context token
+# per call (a second thread entering a shared ``with _QUIET:`` raises
+# TypeError), and numpy 1.x keeps the error state per thread, so each worker
+# saves and restores the same fresh-thread default.
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 # Samples reduced at once; fixed so the reduction's temporaries do not grow
@@ -119,10 +120,47 @@ def _unit_scale(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.ldexp(data, -exponent[..., None, None], out=out)
 
 
+def _empty_moments(r: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialized ``(s, whiten, m4)`` for R samples of dimension p, in the
+    layout :func:`_fourth_moments` returns."""
+    # M4 keeps the sample axis innermost, the layout an index gather over all
+    # samples gives: numpy's matmul in _projected_kurtosis picks its loop, and
+    # so its rounding, by layout, and the pinned calibration values hold for
+    # this one
+    return (np.empty((r, p, p)), np.empty((r, p, p)),
+            np.empty((p * p, p * p, r)).transpose(2, 0, 1))
+
+
 @_QUIET
+def _reduce_block(batch: np.ndarray, s: np.ndarray, whiten: np.ndarray,
+                  m4: np.ndarray) -> None:
+    """Write the :func:`_fourth_moments` of one block of at most
+    ``_SAMPLE_BLOCK`` samples, shape (B, p, N), into the matching rows of
+    its three outputs."""
+    _, p, n = batch.shape
+    # M4 from the p(p+1)/2 distinct entries of y y^T, expanded to all p^2
+    rows, cols = np.triu_indices(p)
+    pair = np.empty((p, p), dtype=int)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    pair = pair.ravel()
+    x = batch - batch.mean(axis=2, keepdims=True)
+    _unit_scale(x, out=x)
+    s[...] = x @ x.transpose(0, 2, 1) / n
+    lam, q = np.linalg.eigh(s)
+    scale = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[:, -1:]))
+    y = q.transpose(0, 2, 1) @ x
+    y /= scale[:, :, None]
+    w = np.empty((len(y), rows.size, n))
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(y[:, i], y[:, j], out=w[:, k])
+    m4[...] = (w @ w.transpose(0, 2, 1) / n)[:, pair[:, None], pair]
+    whiten[...] = q * scale[:, None, :]
+
+
 def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sufficient statistics of B for every projection of a batch of
-    samples, shape (R, p, N), reduced in blocks of ``_SAMPLE_BLOCK`` samples.
+    samples, shape (R, p, N), reduced in blocks of ``_SAMPLE_BLOCK`` samples
+    by :func:`_reduce_block`.
 
     Centers each sample and scales it by :func:`_unit_scale`. B is
     scale-invariant, so this changes no statistic, but it keeps S
@@ -139,34 +177,12 @@ def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     a singular S still yields a finite L, and a projection that avoids its
     null space is still contracted in whitened coordinates.
     """
-    r, p, n = batch.shape
-    s = np.empty((r, p, p))
-    whiten = np.empty((r, p, p))
-    # M4 keeps the sample axis innermost, the layout an index gather over all
-    # samples gives: numpy's matmul in _projected_kurtosis picks its loop, and
-    # so its rounding, by layout, and the pinned calibration values hold for
-    # this one
-    m4 = np.empty((p * p, p * p, r)).transpose(2, 0, 1)
-    # M4 from the p(p+1)/2 distinct entries of y y^T, expanded to all p^2
-    rows, cols = np.triu_indices(p)
-    pair = np.empty((p, p), dtype=int)
-    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    pair = pair.ravel()
+    r, p, _ = batch.shape
+    moments = _empty_moments(r, p)
     for start in range(0, r, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
-        x = batch[block] - batch[block].mean(axis=2, keepdims=True)
-        _unit_scale(x, out=x)
-        s[block] = x @ x.transpose(0, 2, 1) / n
-        lam, q = np.linalg.eigh(s[block])
-        scale = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[:, -1:]))
-        y = q.transpose(0, 2, 1) @ x
-        y /= scale[:, :, None]
-        w = np.empty((len(y), rows.size, n))
-        for k, (i, j) in enumerate(zip(rows, cols)):
-            np.multiply(y[:, i], y[:, j], out=w[:, k])
-        m4[block] = (w @ w.transpose(0, 2, 1) / n)[:, pair[:, None], pair]
-        whiten[block] = q * scale[:, None, :]
-    return s, whiten, m4
+        _reduce_block(batch[block], *(out[block] for out in moments))
+    return moments
 
 
 @_QUIET

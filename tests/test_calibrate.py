@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from scipy.stats import kstest
 
 from depnorm import (
+    ArchimedeanFamily,
     CalibrationBudget,
     CalibrationError,
     CovarianceSequence,
     DegenerateSampleError,
+    ExperimentConfig,
     GaussianSurrogate,
     RngStream,
     TimeSeriesSample,
@@ -18,10 +21,11 @@ from depnorm import (
     colored_scalar_null_moments,
     iid_null_moments,
     resolve_max_lag,
+    run_experiment,
     simulate_gaussian_batch,
 )
-from depnorm.calibrate import (_CHUNK, _MAX_WORKERS, _SLAB, _moments_with_errors,
-                               _replicate_moments)
+from depnorm.calibrate import (_CHUNK, _IN_FLIGHT, _MAX_WORKERS, _SLAB, _draw_reduced,
+                               _moments_with_errors, _replicate_moments, _transform_slab)
 from depnorm.kurtosis import _fourth_moments, _mardia_batch
 from depnorm.projection import sample_plane
 from reference import direct_gaussian_batch, direct_kurtosis
@@ -35,6 +39,16 @@ def _ar1_cov(a, max_lag, p=1, s0=1.0):
 
 def _white_cov(p):
     return CovarianceSequence(np.eye(p)[None, :, :])
+
+
+def _var1_surrogate(p, max_lag, n=120):
+    """Surrogate of a VAR(1) x(n+1) = A x(n) + e(n) with a non-symmetric A,
+    whose lags S(tau) = S(0) (A^tau)^T make the factor mix the channels."""
+    a = 0.6 * np.linalg.qr(RngStream(67).generator().standard_normal((p, p)))[0]
+    s0 = sum(np.linalg.matrix_power(a, k) @ np.linalg.matrix_power(a, k).T
+             for k in range(200))
+    lags = np.array([s0 @ np.linalg.matrix_power(a, t).T for t in range(max_lag + 1)])
+    return GaussianSurrogate(CovarianceSequence(lags), n)
 
 
 # float.hex of calibrate_null's (mean, variance, se_mean, se_variance) on
@@ -131,13 +145,8 @@ class TestSurrogate:
     @pytest.mark.parametrize("max_lag", [10, 119])
     def test_batch_matches_reference_draw(self, p, count, max_lag):
         # counts straddle the slab edges; max_lag 119 is the full range at
-        # N = 120. A VAR(1) x(n+1) = A x(n) + e(n) with a non-symmetric A
-        # has lags S(tau) = S(0) (A^tau)^T, so the factor mixes the channels
-        a = 0.6 * np.linalg.qr(RngStream(67).generator().standard_normal((p, p)))[0]
-        s0 = sum(np.linalg.matrix_power(a, k) @ np.linalg.matrix_power(a, k).T
-                 for k in range(200))
-        lags = np.array([s0 @ np.linalg.matrix_power(a, t).T for t in range(max_lag + 1)])
-        sur = GaussianSurrogate(CovarianceSequence(lags), 120)
+        # N = 120
+        sur = _var1_surrogate(p, max_lag)
         got = simulate_gaussian_batch(sur, RngStream(71, count), count)
         assert got.shape == (count, p, 120)
         np.testing.assert_array_equal(got, direct_gaussian_batch(sur, RngStream(71, count), count))
@@ -314,3 +323,74 @@ class TestReplicateMoments:
         expected = _moments_with_errors(np.concatenate(values))
         res = calibrate_null(sur, budget=budget)
         assert (res.mean, res.variance, res.se_mean, res.se_variance) == expected
+
+
+class TestDrawReduced:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 64, 257, 500])
+    @pytest.mark.parametrize("max_lag", [10, 119])
+    def test_matches_the_reduced_batch(self, monkeypatch, threads, p, count, max_lag):
+        # byte for byte and in M4's layout, for any pool size, with threads
+        # switching often; counts straddle the slab edges
+        sur = _var1_surrogate(p, max_lag)
+        expected = _fourth_moments(simulate_gaussian_batch(sur, RngStream(83, count), count))
+        monkeypatch.setattr("depnorm.calibrate._MAX_WORKERS", 3)
+        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: threads)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            got = _draw_reduced(sur, RngStream(83, count), count)
+        finally:
+            sys.setswitchinterval(interval)
+        for want, have in zip(expected, got, strict=True):
+            assert have.shape == want.shape and have.strides == want.strides
+            assert have.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cpus, sizes", [(1, []), (2, [1]), (8, [_MAX_WORKERS - 1])])
+    def test_pool_size(self, monkeypatch, cpus, sizes):
+        # the caller is one of the threads, so the pool has one worker fewer
+        # than the usable CPUs, capped by _MAX_WORKERS, and none on one CPU
+        made = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr("depnorm.calibrate.ThreadPoolExecutor", Recording)
+        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: cpus)
+        _draw_reduced(_var1_surrogate(2, 10), RngStream(89), 200)
+        assert made == sizes
+
+    def test_failed_slab_stops_the_study(self, monkeypatch):
+        # the error reaches the caller without waiting for a free slot, the
+        # draw stops within the in-flight bound, and the pool's threads end
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("slab transform failed")
+            return _transform_slab(*args)
+
+        monkeypatch.setattr("depnorm.calibrate._transform_slab", failing)
+        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: 2)
+        cfg = ExperimentConfig(ArchimedeanFamily.gumbel(), 2, 2, True, n=200, m=3,
+                               realizations=2, calib_replicates=2000)
+        before = threading.active_count()
+        errors = []
+
+        def study():
+            try:
+                run_experiment(cfg)
+            except RuntimeError as err:
+                errors.append(err)
+
+        runner = threading.Thread(target=study, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert [str(err) for err in errors] == ["slab transform failed"]
+        assert 3 <= len(calls) <= 3 + _IN_FLIGHT
+        assert threading.active_count() == before

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,22 @@ class TestProjectionEngine:
         assert tuple(valid.tolist()) == pinned["valid"]
         assert {kind.value: tuple(map(float.hex, pv)) for kind, pv in pvalues.items()} \
             == {k: v for k, v in pinned.items() if k != "valid"}
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("source_dim, projection_dim, max_lag",
+                             [key for key in _PINNED if key[1] == 2])
+    def test_pinned_pvalues_on_any_pool(self, monkeypatch, cpus, source_dim,
+                                        projection_dim, max_lag):
+        # the calibrated setups draw through the slab pipeline, whose pool
+        # size follows the usable CPUs; every schedule gives the pinned bits
+        monkeypatch.setattr("depnorm.calibrate._MAX_WORKERS", 3)
+        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            self.test_pinned_pvalues(source_dim, projection_dim, max_lag)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestNullSize:
