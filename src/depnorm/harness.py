@@ -12,15 +12,19 @@ statistic is a contraction of these (``kurtosis._fourth_moments`` and
 
 The source covariance sequence S(tau) is estimated once per realization,
 and ``kurtosis._null_moments`` gives the null of every projection from it,
-as it does for ``run_test``: the colored scalar lag sums contract
-u S(tau) u^T, and the calibrated bivariate null draws one batch of
-source-dimension Gaussian replicates matched to S(tau). Projected by U, the
-batch is a Gaussian process with covariance sequence U S(tau) U^T, the law
-a per-projection surrogate would have. It is drawn and reduced slab by slab
-on a thread pool (``calibrate._draw_reduced``), bit-identical to reducing
-the whole batch, and contracted against the bases in fixed blocks
-(``calibrate._replicate_moments``), so a realization's peak memory does not
-grow with M or with the replicate count.
+as it does for ``run_test``. The colored scalar lag sums of a line u are
+a quadratic and a quartic form in the coefficients of v v^T, v = uL for
+the whitening factor L of S(0), contracted against two lag-moment tensors
+of the whitened S(tau) (``kurtosis._scalar_lag_sums``), so no projected
+sequence u S(tau) u^T is formed. The calibrated bivariate null draws one
+batch of source-dimension Gaussian replicates matched to S(tau). Projected
+by U, the batch is a Gaussian process with covariance sequence
+U S(tau) U^T, the law a per-projection surrogate would have. It is drawn
+and reduced slab by slab on a thread pool (``calibrate._draw_reduced``),
+bit-identical to reducing the whole batch, and contracted against the
+bases in fixed blocks (``calibrate._replicate_moments``), so a
+realization's peak memory does not grow with M or with the replicate
+count.
 """
 
 from __future__ import annotations

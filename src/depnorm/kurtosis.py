@@ -131,6 +131,14 @@ def _empty_moments(r: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.empty((p * p, p * p, r)).transpose(2, 0, 1))
 
 
+def _eigen_factor(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, scale)`` of symmetric matrices S (..., p, p) = Q Lambda Q^T, with
+    scale = Lambda^{1/2} and each eigenvalue raised to eps * lambda_max, so
+    that L = Q diag(scale) is a finite whitening factor of a singular S."""
+    lam, q = np.linalg.eigh(s)
+    return q, np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[..., -1:]))
+
+
 @_QUIET
 def _reduce_block(batch: np.ndarray, s: np.ndarray, whiten: np.ndarray,
                   m4: np.ndarray) -> None:
@@ -146,8 +154,7 @@ def _reduce_block(batch: np.ndarray, s: np.ndarray, whiten: np.ndarray,
     x = batch - batch.mean(axis=2, keepdims=True)
     _unit_scale(x, out=x)
     s[...] = x @ x.transpose(0, 2, 1) / n
-    lam, q = np.linalg.eigh(s)
-    scale = np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[:, -1:]))
+    q, scale = _eigen_factor(s)
     y = q.transpose(0, 2, 1) @ x
     y /= scale[:, :, None]
     w = np.empty((len(y), rows.size, n))
@@ -244,7 +251,9 @@ def _null_moments(kind: TestKind, bases: np.ndarray, cov: CovarianceSequence | N
       mean = 3 - 6/N - (12/N^2) sum_{tau>=1} (N-tau) s(tau)^2 / s(0)^2 and
       var = (24/N) [1 + (2/N) sum_{tau>=1} (N-tau) s(tau)^4 / s(0)^4];
       asymptotic (o(1/N) dropped), and with an all-zero tail the i.i.d.
-      case up to O(1/N^2) in the mean.
+      case up to O(1/N^2) in the mean. The lag sums are contractions of
+      two tensors of the source lags (:func:`_scalar_lag_sums`), so no
+      projection's sequence s(tau) is formed.
     * ``COLORED_BIVARIATE``: ``calibrate`` maps the Gaussian surrogate of
       ``cov`` to the Monte Carlo moments (closed forms exist only as leading
       terms, 8 - 16/N and 64/N plus lag corrections).
@@ -257,13 +266,49 @@ def _null_moments(kind: TestKind, bases: np.ndarray, cov: CovarianceSequence | N
     if kind == TestKind.COLORED_BIVARIATE:
         from .calibrate import GaussianSurrogate
         return calibrate(GaussianSurrogate(cov, n))
-    u = bases[:, 0]
-    lags = np.einsum("mp,tpq,mq->mt", u, cov.lags, u)
-    r2 = (lags[:, 1:] / np.where(lags[:, :1] > 0, lags[:, :1], np.nan)) ** 2
-    tau = np.arange(1, lags.shape[1])
-    mean = 3.0 - 6.0 / n - (12.0 / n**2) * np.sum((n - tau) * r2, axis=1)
-    var = (24.0 / n) * (1.0 + (2.0 / n) * np.sum((n - tau) * r2**2, axis=1))
+    sum2, sum4 = _scalar_lag_sums(bases[:, 0], cov.lags, n)
+    mean = 3.0 - 6.0 / n - (12.0 / n**2) * sum2
+    var = (24.0 / n) * (1.0 + (2.0 / n) * sum4)
     return np.stack([mean, var, np.zeros(m), np.zeros(m)])
+
+
+def _scalar_lag_sums(u: np.ndarray, lags: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{tau>=1} (N-tau) r(tau)^2 and sum_{tau>=1} (N-tau) r(tau)^4 for
+    each line u of ``u`` (M, p), where r(tau) = s(tau)/s(0) and
+    s(tau) = u S(tau) u^T for the lags S(0..T) (T+1, p, p); NaN where
+    s(0) <= 0.
+
+    Only the symmetric part of S(tau) enters s(tau). Whitened by the factor
+    S(0) = L L^T of :func:`_eigen_factor`, it is W(tau) = L^{-1} S(tau) L^{-T}
+    (W(0) = I up to the floor), with d = p(p+1)/2 distinct entries b(tau).
+    For v = uL, r(tau) = b(tau).c / b(0).c, where c holds the coefficients
+    of v v^T (v_i v_j, doubled off the diagonal). So with c normalized to
+    b(0).c = 1, the sums are the quadratic form c^T G2 c and the quartic
+    form of G4 = sum_{tau>=1} (N-tau) b(tau)^{(x)4} in c, with
+    G2 = sum_{tau>=1} (N-tau) b(tau) b(tau)^T: O(T d^4 + M d^4) work, not
+    O(M T). Whitening keeps the terms of the expanded forms of order one
+    however ill-conditioned S(0) is; unwhitened, they grow with its
+    condition number and so does the rounding of the sums.
+    """
+    m, p = u.shape
+    ok = np.einsum("mp,pq,mq->m", u, lags[0], u) > 0
+    if not ok.any():  # S(0) = 0, say, which has no whitening factor
+        return np.full((2, m), np.nan)
+    sym = (lags + lags.swapaxes(1, 2)) / 2
+    q, scale = _eigen_factor(sym[0])
+    rows, cols = np.triu_indices(p)
+    b = ((q.T @ sym @ q) / np.outer(scale, scale))[:, rows, cols]
+    weight = (n - np.arange(1, len(b)))[:, None]
+    bb = (b[1:, :, None] * b[1:, None, :]).reshape(-1, rows.size**2)
+    g2, g4 = (weight * b[1:]).T @ b[1:], (weight * bb).T @ bb
+    v = (u @ q) * scale
+    c = v[:, rows] * v[:, cols] * np.where(rows == cols, 1.0, 2.0)
+    c /= np.where(ok, c @ b[0], np.nan)[:, None]
+    quadratic = np.sum((c @ g2) * c, axis=1)
+    cc = (c[:, :, None] * c[:, None, :]).reshape(m, rows.size**2)
+    quartic = cc @ g4
+    quartic *= cc
+    return quadratic, quartic.sum(axis=1)
 
 
 def _sample_null(kind: TestKind, p: int, cov: CovarianceSequence | None, n: int,

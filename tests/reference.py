@@ -39,6 +39,22 @@ def direct_scalar_lags(x, bases, max_lag):
     return out
 
 
+def direct_colored1_moments(lags, n):
+    """Colored scalar null mean and variance of a series of length ``n``
+    from its autocovariances ``lags`` s(0..L), the textbook way: one float
+    ratio s(tau)/s(0) per lag, its weighted square and fourth power summed
+    in a loop. NaN where s(0) <= 0."""
+    s0 = float(lags[0])
+    if not s0 > 0:
+        return math.nan, math.nan
+    sum2 = sum4 = 0.0
+    for tau in range(1, len(lags)):
+        r = float(lags[tau]) / s0
+        sum2 += (n - tau) * r**2
+        sum4 += (n - tau) * r**4
+    return 3 - 6 / n - 12 / n**2 * sum2, 24 / n * (1 + 2 / n * sum4)
+
+
 def direct_gaussian_batch(surrogate, rng, count):
     """``count`` surrogate replicates (count, p, N), the textbook way: all
     real normals, then all imaginary ones, in one (half, K, p) draw each;

@@ -31,7 +31,7 @@ CLAYTON = ArchimedeanFamily.clayton()
 _PINNED = {
     (2, 1, None): {
         'colored1': (
-            '0x1.6625606a99abfp-41', '0x1.67250d6c641e4p-1', '0x1.2161ced7e8515p-3',
+            '0x1.6625606a99b32p-41', '0x1.67250d6c641e4p-1', '0x1.2161ced7e8515p-3',
             '0x1.6caa0ec8febd4p-3', '0x1.5850b5e4a8cc6p-1', '0x1.95f05a95b23cap-40',
             '0x1.25d885c899b64p-4', '0x1.fe36b7a7613b3p-35',
         ),
@@ -44,8 +44,8 @@ _PINNED = {
     },
     (2, 1, 30): {
         'colored1': (
-            '0x1.c761e0ebdb843p-41', '0x1.58a985e1ace96p-1', '0x1.13d47bc44fd1bp-3',
-            '0x1.5ab58fd49cbd8p-3', '0x1.504ac5fdf2bd7p-1', '0x1.03e06c0c88994p-39',
+            '0x1.c761e0ebdb8d1p-41', '0x1.58a985e1ace96p-1', '0x1.13d47bc44fd1bp-3',
+            '0x1.5ab58fd49cbd8p-3', '0x1.504ac5fdf2bd7p-1', '0x1.03e06c0c88943p-39',
             '0x1.35097c8c721fep-4', '0x1.42dbc30a487e0p-34',
         ),
         'iid': (

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,10 +29,11 @@ from depnorm import (
     sample_cross_covariance,
     two_sided_p_value,
 )
+from depnorm.copula import ar1_filter
 from depnorm.kurtosis import (_SAMPLE_BLOCK, KurtosisValue, _fourth_moments, _null_moments,
                               _projected_kurtosis)
 from depnorm.projection import rotation_matrix, sample_direction, sample_plane, sample_rotation
-from reference import direct_kurtosis
+from reference import direct_colored1_moments, direct_kurtosis
 
 
 def _scalar_cov(ratios, s0=1.0):
@@ -214,6 +216,9 @@ class TestColoredScalarMoments:
         iid = iid_null_moments(1, 100)
         assert m.variance == iid.variance
         assert abs(m.mean - iid.mean) == pytest.approx(6 / (100 * 101), abs=1e-12)
+        # and so does a sequence with no lag beyond 0 (max_lag=0)
+        lag0 = colored_scalar_null_moments(_scalar_cov([]), 100)
+        assert (lag0.mean, lag0.variance) == (m.mean, m.variance)
 
     def test_matches_brute_force_summation(self):
         n = 1000
@@ -313,6 +318,64 @@ class TestNullMoments:
             ref = colored_scalar_null_moments(CovarianceSequence(u @ cov.lags @ u.T), n)
             np.testing.assert_allclose(col, [ref.mean, ref.variance, 0.0, 0.0], rtol=1e-12)
         assert np.isnan(got[:2, -1]).all()
+
+    @staticmethod
+    def _mixed_cov(p, cond, channel, n):
+        """Full lags of a colored p-variate sample of length N whose channels
+        are mixed so that S(0) has a condition number of about ``cond``, its
+        last channel replaced by a combination of the others ("collinear")
+        or by zeros ("zero"), or every channel by zeros ("all zero")."""
+        gen = RngStream(107).generator()
+        z = np.array([ar1_filter(row, a, 0)
+                      for a, row in zip((0.9, 0.5, -0.3), gen.standard_normal((p, n)))])
+        q1, q2 = (np.linalg.qr(gen.standard_normal((p, p)))[0] for _ in range(2))
+        x = q1 @ np.diag(cond ** (-0.5 * np.arange(p) / (p - 1))) @ q2 @ z
+        if channel == "collinear":
+            x[-1] = -3.0 * x[0] + 0.5 * x[1:-1].sum(axis=0)
+        elif channel == "zero":
+            x[-1] = 0.0
+        elif channel == "all zero":
+            x[:] = 0.0
+        return sample_cross_covariance(center(TimeSeriesSample(x)), n - 1)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("cond, channel", [(1.0, None), (1e3, None), (1e6, None),
+                                               (1.0, "collinear"), (1.0, "zero"),
+                                               (1.0, "all zero")])
+    def test_colored1_matches_the_plain_lag_loop(self, p, cond, channel):
+        # the contraction whitens by S(0), so it stays as accurate as a
+        # per-lag ratio of each projected sequence when S(0) is
+        # ill-conditioned or singular; NaN exactly where u S(0) u^T <= 0,
+        # with no floating-point warning (pytest makes one an error)
+        n = 400
+        cov = self._mixed_cov(p, cond, channel, n)
+        bases = RngStream(109).generator().standard_normal((40, 1, p))
+        bases[0] = 0.0
+        if channel == "zero":
+            bases[1] = np.eye(p)[-1]
+        s0 = np.array([u @ cov.lags[0] @ u for u in bases[:, 0]])
+        for max_lag in (n - 1, 30, 0):
+            lags = cov.truncated(max_lag)
+            got = _null_moments(TestKind.COLORED_SCALAR, bases, lags, n)
+            ref = [direct_colored1_moments(u @ lags.lags @ u, n) for u in bases[:, 0]]
+            np.testing.assert_array_equal(np.isnan(got[:2]), [s0 <= 0] * 2)
+            assert np.isnan(got[:2, :1 + (channel == "zero")]).all()
+            np.testing.assert_allclose(got[:2], np.transpose(ref), rtol=1e-9)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_colored1_memory_does_not_grow_with_lags_times_lines(self, p):
+        # the lag sums are contracted, never formed as an (M, L+1) array:
+        # the peak stays below a tenth of one (M, N) float array
+        n, m = 1000, 20_000
+        cov = self._mixed_cov(p, 1.0, None, n)
+        bases = RngStream(127).generator().standard_normal((m, 1, p))
+        tracemalloc.start()
+        try:
+            _null_moments(TestKind.COLORED_SCALAR, bases, cov, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8 / 10
 
     @pytest.mark.parametrize("k, p", [(1, 2), (2, 2), (2, 3), (3, 3)])
     def test_iid_matches_the_closed_form(self, k, p):
