@@ -48,6 +48,7 @@ from .core import (
     CovarianceSequence,
     DegenerateSampleError,
     RngStream,
+    _check_counts,
 )
 from .kurtosis import (_DEGENERATE_MESSAGE, _SAMPLE_BLOCK, _check_length, _empty_moments,
                        _fourth_moments, _projected_kurtosis, _reduce_block)
@@ -99,6 +100,7 @@ class CalibrationBudget:
     seed: RngStream = field(default_factory=lambda: RngStream(0, 0))
 
     def __post_init__(self) -> None:
+        _check_counts(self)
         if self.replicates < MIN_REPLICATES:
             raise ValueError(f"moment estimates need at least {MIN_REPLICATES} replicates")
 
@@ -270,36 +272,30 @@ class CalibrationResult:
         return asdict(self)
 
 
-def _moments_with_errors(values: np.ndarray) -> tuple[float, float, float, float]:
-    """Compensated mean/variance of the statistic values plus standard errors.
-
-    The SE of the sample variance uses the empirical fourth central moment,
-    Var(s^2) = (m4 - s^4 (R-3)/(R-1)) / R, which matters because kurtosis
-    statistics are themselves skewed and heavy-tailed.
-    """
-    r = values.size
-    mean = math.fsum(values) / r
-    dev = values - mean
-    variance = math.fsum(dev * dev) / (r - 1)
-    m4 = math.fsum(dev**4) / r
-    se_mean = math.sqrt(variance / r)
-    se_var = math.sqrt(max(m4 - variance**2 * (r - 3) / (r - 1), 0.0) / r)
-    return mean, variance, se_mean, se_var
-
-
 def _replicate_moments(bases: np.ndarray,
                        null: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Mean, variance, se_mean and se_variance of the statistic of each
     projection U z over the replicates z, shape (4, M), from the M bases
     (M, k, p) and the ``kurtosis._fourth_moments`` reduction ``null`` of the
-    replicates, contracted in blocks of ``_BASIS_BLOCK``. A column is NaN
-    where the projection of any replicate is degenerate, since ``math.fsum``
-    carries the NaN value of that replicate into every moment."""
+    replicates, contracted in blocks of ``_BASIS_BLOCK``.
+
+    Each block's moments are two-pass numpy reductions over its (M, R)
+    values. The SE of the sample variance uses the empirical fourth central
+    moment, Var(s^2) = (m4 - s^4 (R-3)/(R-1)) / R, which matters because
+    kurtosis statistics are themselves skewed and heavy-tailed. A column is
+    NaN where the projection of any replicate is degenerate, since the
+    reductions carry that replicate's NaN value into every moment.
+    """
     out = np.empty((4, len(bases)))
     for start in range(0, len(bases), _BASIS_BLOCK):
         values = _projected_kurtosis(bases[start : start + _BASIS_BLOCK], null)
-        for m, row in enumerate(values, start):
-            out[:, m] = _moments_with_errors(row)
+        r = values.shape[1]
+        mean = values.mean(axis=1)
+        sq = (values - mean[:, None]) ** 2
+        variance = np.sum(sq, axis=1) / (r - 1)
+        m4 = np.mean(sq**2, axis=1)
+        se_var = np.sqrt(np.maximum(m4 - variance**2 * (r - 3) / (r - 1), 0.0) / r)
+        out[:, start : start + len(values)] = mean, variance, np.sqrt(variance / r), se_var
     return out
 
 

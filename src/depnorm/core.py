@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +210,19 @@ def sample_covariance(x: TimeSeriesSample) -> np.ndarray:
     """Biased sample covariance ``(1/N) sum_k x(k) x(k)^T`` of an
     (assumed zero-mean) sample. Symmetric by construction."""
     return _lag0(x.data)
+
+
+def _check_counts(config) -> None:
+    """Raise ``ValueError`` naming the first ``int`` or ``int | None`` field
+    of the dataclass ``config`` that holds anything but an int (a bool or an
+    integral float included) or, for the latter, None: a count of the wrong
+    type would otherwise fail later, inside a draw, with a bare TypeError."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("int", "int | None") and type(value) is not int \
+                and not (value is None and f.type != "int"):
+            raise ValueError(f"{type(config).__name__} field {f.name!r} must be an "
+                             f"integer, got {value!r}")
 
 
 def resolve_max_lag(max_lag: int | None, n: int) -> int:

@@ -42,7 +42,7 @@ from .calibrate import (
     simulate_gaussian_batch,  # noqa: F401  (perfbench/tracing.py patches it here)
 )
 from .copula import ArchimedeanFamily, GeneratorConfig, generate
-from .core import RngStream, center, resolve_max_lag, sample_cross_covariance
+from .core import RngStream, _check_counts, center, resolve_max_lag, sample_cross_covariance
 from .kurtosis import (
     TestKind,
     _fourth_moments,
@@ -184,13 +184,16 @@ class ExperimentConfig:
     max_lag: int | None = None
 
     def __post_init__(self) -> None:
+        _check_counts(self)
         if (self.source_dim, self.projection_dim) not in _SETUPS:
             raise ValueError(
                 f"unsupported projection {self.source_dim}->{self.projection_dim}; "
                 f"supported: {', '.join(f'{s}->{p}' for s, p in _SETUPS)}"
             )
-        if not self.alphas or not all(0.0 < a < 1.0 for a in self.alphas):
-            raise ValueError("alphas must be one or more levels in (0, 1)")
+        if not self.alphas or not all(0.0 < a < 1.0 for a in self.alphas) \
+                or len({f"{a:g}" for a in self.alphas}) < len(self.alphas):
+            raise ValueError("alphas must be one or more levels in (0, 1), distinct in "
+                             f"their report keys f'{{alpha:g}}', got {list(self.alphas)}")
         if self.m < 1 or self.realizations < 1:
             raise ValueError("M and realizations must be positive")
         if self.calib_replicates < MIN_REPLICATES:
@@ -204,6 +207,9 @@ class ExperimentConfig:
                 (TestKind.COLORED_SCALAR, TestKind.MARDIA_IID)
                 if self.projection_dim == 1 else (TestKind.COLORED_BIVARIATE,)
             ))
+        if not self.tests or len(set(self.tests)) < len(self.tests):
+            raise ValueError(f"tests must be one or more distinct test kinds, got "
+                             f"{[kind.value for kind in self.tests]}")
         for kind in self.tests:
             kind.check_dim(self.projection_dim, self.n)
 

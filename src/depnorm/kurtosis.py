@@ -122,13 +122,10 @@ def _unit_scale(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _empty_moments(r: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uninitialized ``(s, whiten, m4)`` for R samples of dimension p, in the
-    layout :func:`_fourth_moments` returns."""
-    # M4 keeps the sample axis innermost, the layout an index gather over all
-    # samples gives: numpy's matmul in _projected_kurtosis picks its loop, and
-    # so its rounding, by layout, and the pinned calibration values hold for
-    # this one
-    return (np.empty((r, p, p)), np.empty((r, p, p)),
-            np.empty((p * p, p * p, r)).transpose(2, 0, 1))
+    C-order shapes (R, p, p), (R, p, p) and (R, d, d), d = p(p+1)/2, that
+    :func:`_fourth_moments` returns."""
+    d = p * (p + 1) // 2
+    return np.empty((r, p, p)), np.empty((r, p, p)), np.empty((r, d, d))
 
 
 def _eigen_factor(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,11 +143,7 @@ def _reduce_block(batch: np.ndarray, s: np.ndarray, whiten: np.ndarray,
     ``_SAMPLE_BLOCK`` samples, shape (B, p, N), into the matching rows of
     its three outputs."""
     _, p, n = batch.shape
-    # M4 from the p(p+1)/2 distinct entries of y y^T, expanded to all p^2
     rows, cols = np.triu_indices(p)
-    pair = np.empty((p, p), dtype=int)
-    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    pair = pair.ravel()
     x = batch - batch.mean(axis=2, keepdims=True)
     _unit_scale(x, out=x)
     s[...] = x @ x.transpose(0, 2, 1) / n
@@ -160,7 +153,7 @@ def _reduce_block(batch: np.ndarray, s: np.ndarray, whiten: np.ndarray,
     w = np.empty((len(y), rows.size, n))
     for k, (i, j) in enumerate(zip(rows, cols)):
         np.multiply(y[:, i], y[:, j], out=w[:, k])
-    m4[...] = (w @ w.transpose(0, 2, 1) / n)[:, pair[:, None], pair]
+    m4[...] = w @ w.transpose(0, 2, 1) / n
     whiten[...] = q * scale[:, None, :]
 
 
@@ -175,8 +168,10 @@ def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     the scaled samples: the biased covariances S, shape (R, p, p); a
     whitening factor L = Q Lambda^{1/2} from the eigendecomposition
     S = Q Lambda Q^T; and the fourth-moment matrix
-    M4 = (1/N) sum_n w(n) w(n)^T of the whitened sample y = L^{-1} x, with
-    w(n) = vec(y(n) y(n)^T), shape (R, p^2, p^2).
+    M4 = (1/N) sum_n w(n) w(n)^T of the whitened sample y = L^{-1} x, in pair
+    coordinates: w(n) holds the d = p(p+1)/2 distinct entries
+    y_i(n) y_j(n), i <= j, of y(n) y(n)^T, in ``np.triu_indices`` order, so
+    M4 is C-order (R, d, d).
 
     Whitening keeps the contraction in :func:`_projected_kurtosis` accurate
     when the channels are strongly mixed. Any invertible L gives the same
@@ -202,19 +197,22 @@ def _projected_kurtosis(bases: np.ndarray,
     ``bases`` holds the M projection matrices U, shape (M, k, p). With
     q(n) = x(n)^T U^T (U S U^T)^{-1} U x(n) = y(n)^T P y(n) and
     P = (UL)^T (U S U^T)^{-1} (UL), the statistic is the contraction
-    vec(P)^T M4 vec(P). One eigendecomposition U S U^T = Q Lambda Q^T gives
-    both the degeneracy rule and P = G^T G with G = Lambda^{-1/2} Q^T (UL).
+    c^T M4 c, where c holds the pair coordinates of P: P_ij for i <= j in
+    ``np.triu_indices`` order, doubled off the diagonal (P is symmetric).
+    One eigendecomposition U S U^T = Q Lambda Q^T gives both the degeneracy
+    rule and P = G^T G with G = Lambda^{-1/2} Q^T (UL).
     A value is NaN where U S U^T is numerically singular, that is where its
     smallest eigenvalue is not a positive normal float or its condition
     number is at least ``_MAX_CONDITION``, and where it overflows.
     """
     s, whiten, m4 = moments
+    rows, cols = np.triu_indices(s.shape[-1])
     u = bases[:, None]
     lam, q = np.linalg.eigh(u @ s @ u.swapaxes(-1, -2))
     ok = (lam[..., 0] >= np.finfo(float).tiny) & (lam[..., -1] / _MAX_CONDITION < lam[..., 0])
     g = (q.swapaxes(-1, -2) @ (u @ whiten)) / np.sqrt(lam)[..., None]
-    vec = (g.swapaxes(-1, -2) @ g).reshape(*ok.shape, -1)
-    values = np.sum((vec[..., None, :] @ m4)[..., 0, :] * vec, axis=-1)
+    c = (g.swapaxes(-1, -2) @ g)[..., rows, cols] * np.where(rows == cols, 1.0, 2.0)
+    values = np.sum((c[..., None, :] @ m4)[..., 0, :] * c, axis=-1)
     values[~(ok & np.isfinite(values))] = np.nan
     return values
 

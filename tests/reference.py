@@ -55,6 +55,23 @@ def direct_colored1_moments(lags, n):
     return 3 - 6 / n - 12 / n**2 * sum2, 24 / n * (1 + 2 / n * sum4)
 
 
+def moments_with_errors(values):
+    """Compensated mean/variance of the statistic values plus standard errors.
+
+    The SE of the sample variance uses the empirical fourth central moment,
+    Var(s^2) = (m4 - s^4 (R-3)/(R-1)) / R, which matters because kurtosis
+    statistics are themselves skewed and heavy-tailed.
+    """
+    r = values.size
+    mean = math.fsum(values) / r
+    dev = values - mean
+    variance = math.fsum(dev * dev) / (r - 1)
+    m4 = math.fsum(dev**4) / r
+    se_mean = math.sqrt(variance / r)
+    se_var = math.sqrt(max(m4 - variance**2 * (r - 3) / (r - 1), 0.0) / r)
+    return mean, variance, se_mean, se_var
+
+
 def direct_gaussian_batch(surrogate, rng, count):
     """``count`` surrogate replicates (count, p, N), the textbook way: all
     real normals, then all imaginary ones, in one (half, K, p) draw each;

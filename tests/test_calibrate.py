@@ -25,10 +25,10 @@ from depnorm import (
     simulate_gaussian_batch,
 )
 from depnorm.calibrate import (_CHUNK, _IN_FLIGHT, _MAX_WORKERS, _SLAB, _draw_reduced,
-                               _moments_with_errors, _replicate_moments, _transform_slab)
-from depnorm.kurtosis import _fourth_moments, _mardia_batch
+                               _replicate_moments, _transform_slab)
+from depnorm.kurtosis import _fourth_moments, _projected_kurtosis
 from depnorm.projection import sample_plane
-from reference import direct_gaussian_batch, direct_kurtosis
+from reference import direct_gaussian_batch, direct_kurtosis, moments_with_errors
 
 
 def _ar1_cov(a, max_lag, p=1, s0=1.0):
@@ -54,24 +54,24 @@ def _var1_surrogate(p, max_lag, n=120):
 # float.hex of calibrate_null's (mean, variance, se_mean, se_variance) on
 # the surrogates of TestCalibrateNull.test_pinned_values, keyed by (p, R)
 _PINNED = {
-    (1, 100): ('0x1.72be38b2b2212p+1', '0x1.b9b01cd069797p-4',
-               '0x1.0d0273945a77bp-5', '0x1.cdb6270ef0384p-7'),
-    (1, 257): ('0x1.77225d9c5c3b1p+1', '0x1.03690fb5c27d3p-3',
-               '0x1.6bbb84245b0efp-6', '0x1.eb8ad9c2f69c6p-7'),
-    (1, 2000): ('0x1.77eca2f52775ep+1', '0x1.0a9a20a9a12a9p-3',
+    (1, 100): ('0x1.72be38b2b220fp+1', '0x1.b9b01cd069796p-4',
+               '0x1.0d0273945a77bp-5', '0x1.cdb6270ef039bp-7'),
+    (1, 257): ('0x1.77225d9c5c3b1p+1', '0x1.03690fb5c27d4p-3',
+               '0x1.6bbb84245b0f0p-6', '0x1.eb8ad9c2f69c5p-7'),
+    (1, 2000): ('0x1.77eca2f52775ep+1', '0x1.0a9a20a9a12a8p-3',
                 '0x1.085d1713a71b8p-7', '0x1.a454287e16aa5p-8'),
-    (2, 100): ('0x1.f1ebf183496e3p+2', '0x1.3a711ff2c6248p-2',
-               '0x1.c5f3c63cd1832p-5', '0x1.63806de1dfdaep-5'),
-    (2, 257): ('0x1.fcb48e0f9e263p+2', '0x1.709155c49520ap-2',
-               '0x1.32925a4f6d735p-5', '0x1.c11a1ed00a0cbp-6'),
-    (2, 2000): ('0x1.f5f238be3eecep+2', '0x1.4a5fb9b1d4ff4p-2',
-                '0x1.a02fb53c0280dp-7', '0x1.91ad9aecdf131p-7'),
-    (3, 100): ('0x1.d5c4ec7d893d6p+3', '0x1.d4290bdd6c0b6p-2',
-               '0x1.14f42a255a5d0p-4', '0x1.267c693fea8c9p-4'),
-    (3, 257): ('0x1.d75190b257ba0p+3', '0x1.48c7f073b2c71p-1',
-               '0x1.997d11d0bb7efp-5', '0x1.3bfd61dd42c9ap-4'),
-    (3, 2000): ('0x1.d5f0f459543a4p+3', '0x1.3075e3663f12ep-1',
-                '0x1.1a82d432eeb80p-6', '0x1.54ca313474fbbp-6'),
+    (2, 100): ('0x1.f1ebf183496e3p+2', '0x1.3a711ff2c624ap-2',
+               '0x1.c5f3c63cd1833p-5', '0x1.63806de1dfdaep-5'),
+    (2, 257): ('0x1.fcb48e0f9e264p+2', '0x1.709155c49520ap-2',
+               '0x1.32925a4f6d735p-5', '0x1.c11a1ed00a0c4p-6'),
+    (2, 2000): ('0x1.f5f238be3eecdp+2', '0x1.4a5fb9b1d4ff4p-2',
+                '0x1.a02fb53c0280dp-7', '0x1.91ad9aecdf137p-7'),
+    (3, 100): ('0x1.d5c4ec7d893d6p+3', '0x1.d4290bdd6c0b8p-2',
+               '0x1.14f42a255a5d0p-4', '0x1.267c693fea8cap-4'),
+    (3, 257): ('0x1.d75190b257ba0p+3', '0x1.48c7f073b2c72p-1',
+               '0x1.997d11d0bb7efp-5', '0x1.3bfd61dd42c9bp-4'),
+    (3, 2000): ('0x1.d5f0f459543a4p+3', '0x1.3075e3663f12fp-1',
+                '0x1.1a82d432eeb80p-6', '0x1.54ca313474fbap-6'),
 }
 
 
@@ -79,6 +79,12 @@ class TestBudget:
     def test_minimum_replicates(self):
         with pytest.raises(ValueError):
             CalibrationBudget(replicates=50)
+
+    @pytest.mark.parametrize("count", [2000.0, True])
+    def test_replicates_must_be_an_int(self, count):
+        # not only when the draw sizes its arrays
+        with pytest.raises(ValueError, match="'replicates' must be an integer"):
+            CalibrationBudget(replicates=count)
 
     def test_max_lag_resolution(self):
         assert resolve_max_lag(None, 1000) == 999
@@ -239,8 +245,13 @@ class TestCalibrateNull:
         sur = GaussianSurrogate(
             CovarianceSequence(0.6 ** np.arange(31)[:, None, None] * mix), 200)
         res = calibrate_null(sur, CalibrationBudget(replicates=replicates, seed=RngStream(61)))
-        got = (res.mean, res.variance, res.se_mean, res.se_variance)
-        assert tuple(map(float.hex, got)) == _PINNED[(p, replicates)]
+        got = tuple(map(float.hex, (res.mean, res.variance, res.se_mean, res.se_variance)))
+        pinned = _PINNED[(p, replicates)]
+        if got != pinned:
+            # in the table's form, so that a deliberate re-record is a copy
+            moved = [name for name, a, b in zip(("mean", "variance", "se_mean", "se_variance"),
+                                                got, pinned) if a != b]
+            pytest.fail(f"moved {moved}, got {got!r}")
 
     def test_pool_size_does_not_change_the_result(self, monkeypatch):
         # three workers, switching threads often, also run the
@@ -293,8 +304,14 @@ class TestReplicateMoments:
             w -= (w @ null_dir) * null_dir
             planes.append(np.array([null_dir, w / np.linalg.norm(w)]))
         bases = np.array(planes)
-        got = _replicate_moments(bases, _fourth_moments(z))
+        null = _fourth_moments(z)
+        got = _replicate_moments(bases, null)
         assert got.shape == (4, len(bases))
+        # the estimator against the compensated sums, per projection, on the
+        # same values; NaN columns included
+        expected = [moments_with_errors(row) for row in _projected_kurtosis(bases, null)]
+        np.testing.assert_allclose(got, np.transpose(expected), rtol=1e-12)
+        # the values against the plain per-sample statistic
         for m, u in enumerate(bases):
             values, ok = direct_kurtosis(np.einsum("kp,rpn->rkn", u, z))
             if m >= 6:
@@ -305,22 +322,23 @@ class TestReplicateMoments:
             np.testing.assert_allclose(
                 got[:3, m], [values.mean(), var, math.sqrt(var / values.size)],
                 rtol=1e-9)
-            assert np.isfinite(got[3, m])
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("replicates", [100, 256, 257, 2000])
     def test_calibrate_null_keeps_the_chunk_layout(self, p, replicates):
-        # the per-chunk statistic over substream(i) draws, then the moments
+        # the per-chunk reduction of substream(i) draws, joined in chunk
+        # order, then the moments
         mix = 0.7 * np.eye(p) + 0.3
         cov = CovarianceSequence(0.5 ** np.arange(21)[:, None, None] * mix)
         sur = GaussianSurrogate(cov, 150)
         budget = CalibrationBudget(replicates=replicates, seed=RngStream(59))
-        values = []
+        parts = []
         for i, start in enumerate(range(0, replicates, _CHUNK)):
             batch = simulate_gaussian_batch(sur, budget.seed.substream(i),
                                             min(_CHUNK, replicates - start))
-            values.append(_mardia_batch(batch))
-        expected = _moments_with_errors(np.concatenate(values))
+            parts.append(_fourth_moments(batch))
+        null = tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        expected = tuple(_replicate_moments(np.eye(p)[None], null)[:, 0])
         res = calibrate_null(sur, budget=budget)
         assert (res.mean, res.variance, res.se_mean, res.se_variance) == expected
 
@@ -335,6 +353,8 @@ class TestDrawReduced:
         # switching often; counts straddle the slab edges
         sur = _var1_surrogate(p, max_lag)
         expected = _fourth_moments(simulate_gaussian_batch(sur, RngStream(83, count), count))
+        d = p * (p + 1) // 2
+        assert expected[2].shape == (count, d, d) and expected[2].flags.c_contiguous
         monkeypatch.setattr("depnorm.calibrate._MAX_WORKERS", 3)
         monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: threads)
         interval = sys.getswitchinterval()

@@ -165,6 +165,12 @@ class TestInputErrors:
                             temporal_coloring=True, N=200, M=2, calib_replicates=1)
         self._fails(capsys, ["experiment", "--config", str(path)], "calib_replicates")
 
+    def test_config_without_tests(self, tmp_path, capsys):
+        # a study that runs no test would report no rates
+        path = self._config(tmp_path, tests=[])
+        self._fails(capsys, ["experiment", "--config", str(path)],
+                    "tests must be one or more distinct test kinds, got []")
+
     def test_kind_dimension_mismatch(self, tmp_path, capsys):
         out = _generate(tmp_path)
         self._fails(capsys, ["test", "--in", str(out), "--kind", "colored1"],

@@ -1,4 +1,5 @@
 import json
+import pprint
 import sys
 from pathlib import Path
 
@@ -33,12 +34,12 @@ _PINNED = {
         'colored1': (
             '0x1.6625606a99b32p-41', '0x1.67250d6c641e4p-1', '0x1.2161ced7e8515p-3',
             '0x1.6caa0ec8febd4p-3', '0x1.5850b5e4a8cc6p-1', '0x1.95f05a95b23cap-40',
-            '0x1.25d885c899b64p-4', '0x1.fe36b7a7613b3p-35',
+            '0x1.25d885c899b64p-4', '0x1.fe36b7a761493p-35',
         ),
         'iid': (
             '0x1.18e407dca5e25p-68', '0x1.4568ff60f1f88p-1', '0x1.0cbb7870aa3f9p-3',
             '0x1.4b27a3f434ed0p-3', '0x1.4d38767551cebp-1', '0x1.16ec1be099daep-58',
-            '0x1.3862dd9485da8p-4', '0x1.3c587b32cb048p-77',
+            '0x1.3862dd9485da8p-4', '0x1.3c587b32cb15ep-77',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
@@ -46,28 +47,28 @@ _PINNED = {
         'colored1': (
             '0x1.c761e0ebdb8d1p-41', '0x1.58a985e1ace96p-1', '0x1.13d47bc44fd1bp-3',
             '0x1.5ab58fd49cbd8p-3', '0x1.504ac5fdf2bd7p-1', '0x1.03e06c0c88943p-39',
-            '0x1.35097c8c721fep-4', '0x1.42dbc30a487e0p-34',
+            '0x1.35097c8c721fep-4', '0x1.42dbc30a4886fp-34',
         ),
         'iid': (
             '0x1.18e407dca5e25p-68', '0x1.4568ff60f1f88p-1', '0x1.0cbb7870aa3f9p-3',
             '0x1.4b27a3f434ed0p-3', '0x1.4d38767551cebp-1', '0x1.16ec1be099daep-58',
-            '0x1.3862dd9485da8p-4', '0x1.3c587b32cb048p-77',
+            '0x1.3862dd9485da8p-4', '0x1.3c587b32cb15ep-77',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
     (3, 2, None): {
         'colored2': (
-            '0x1.3123765acc637p-15', '0x1.3332f711d14f3p-27', '0x1.166d87600a50bp-20',
-            '0x1.03e9e7e73e03ap-20', '0x1.67f41e9612b64p-58', '0x1.99d37dc34cb41p-39',
-            '0x1.783e1ddec817cp-7', '0x1.04386cc581359p-10',
+            '0x1.3123765acc6a6p-15', '0x1.3332f711d14a2p-27', '0x1.166d87600a445p-20',
+            '0x1.03e9e7e73e0d4p-20', '0x1.67f41e9612a54p-58', '0x1.99d37dc34cccbp-39',
+            '0x1.783e1ddec8118p-7', '0x1.04386cc5812bdp-10',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
     (3, 2, 30): {
         'colored2': (
-            '0x1.2246f2298f16fp-13', '0x1.8abc0aaa6d188p-27', '0x1.13d2bb7dbc6dbp-20',
-            '0x1.60c653c7fbf07p-20', '0x1.0d1ff831f0786p-44', '0x1.07c2ea18628fap-35',
-            '0x1.35b3937429e06p-7', '0x1.e488c7aaa3ed0p-11',
+            '0x1.2246f2298f1d3p-13', '0x1.8abc0aaa6d24fp-27', '0x1.13d2bb7dbc732p-20',
+            '0x1.60c653c7fc00dp-20', '0x1.0d1ff831f072ep-44', '0x1.07c2ea1862a3bp-35',
+            '0x1.35b3937429d9cp-7', '0x1.e488c7aaa3ed0p-11',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
@@ -75,15 +76,15 @@ _PINNED = {
         'colored2': (
             '0x1.1c0cabc53f40ap-29', '0x1.1c0cabc53f27ap-29', '0x1.1c0cabc53ef34p-29',
             '0x1.1c0cabc53f1e9p-29', '0x1.1c0cabc53f40ap-29', '0x1.1c0cabc53f0b2p-29',
-            '0x1.1c0cabc53f3b1p-29', '0x1.1c0cabc53f4e5p-29',
+            '0x1.1c0cabc53f38bp-29', '0x1.1c0cabc53f4c0p-29',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
     (2, 2, 30): {
         'colored2': (
-            '0x1.5161ac72dcc28p-26', '0x1.5161ac72dcd99p-26', '0x1.5161ac72dc8e3p-26',
-            '0x1.5161ac72dc772p-26', '0x1.5161ac72dce2fp-26', '0x1.5161ac72dc8e3p-26',
-            '0x1.5161ac72dcd99p-26', '0x1.5161ac72dccbdp-26',
+            '0x1.5161ac72dcc0fp-26', '0x1.5161ac72dcd99p-26', '0x1.5161ac72dc8e3p-26',
+            '0x1.5161ac72dc772p-26', '0x1.5161ac72dce2fp-26', '0x1.5161ac72dc9a6p-26',
+            '0x1.5161ac72dccbdp-26', '0x1.5161ac72dccbdp-26',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
@@ -183,6 +184,20 @@ class TestExperimentConfig:
         ("n_drop", -3, "n_drop"),
         ("seed", -1, "64 bits"),
         ("alphas", (), "alphas"),
+        # one rate per report key f"{alpha:g}", and one set of counts per kind
+        ("alphas", (0.05, 0.05), "alphas"),
+        ("alphas", (0.05, 0.0500000001), "alphas"),
+        ("tests", (), "tests"),
+        ("tests", (TestKind.MARDIA_IID, TestKind.MARDIA_IID), "tests"),
+        # counts are ints, as from_dict requires of JSON
+        ("m", 3.0, "'m' must be an integer"),
+        ("n", 300.0, "'n' must be an integer"),
+        ("realizations", 2.0, "'realizations' must be an integer"),
+        ("calib_replicates", 150.0, "'calib_replicates' must be an integer"),
+        ("source_dim", 2.0, "'source_dim' must be an integer"),
+        ("seed", 424242.0, "'seed' must be an integer"),
+        ("n_drop", True, "'n_drop' must be an integer"),
+        ("max_lag", 30.0, "'max_lag' must be an integer"),
     ])
     def test_invalid_setting_rejected_at_construction(self, field, value, message):
         # not only when the first realization runs
@@ -415,10 +430,14 @@ class TestProjectionEngine:
         cfg = ExperimentConfig(CLAYTON, source_dim, projection_dim, True, m=8,
                                seed=424242, calib_replicates=150, max_lag=max_lag)
         pvalues, valid = _run_realization(cfg, 0, RngStream(cfg.seed, 0))
+        got = {kind.value: tuple(map(float.hex, pv)) for kind, pv in pvalues.items()}
+        got["valid"] = tuple(valid.tolist())
         pinned = _PINNED[(source_dim, projection_dim, max_lag)]
-        assert tuple(valid.tolist()) == pinned["valid"]
-        assert {kind.value: tuple(map(float.hex, pv)) for kind, pv in pvalues.items()} \
-            == {k: v for k, v in pinned.items() if k != "valid"}
+        if got != pinned:
+            # in the table's form, so that a deliberate re-record is a copy
+            moved = [f"{key}[{i}]" for key, values in got.items()
+                     for i, (a, b) in enumerate(zip(values, pinned.get(key, ()))) if a != b]
+            pytest.fail(f"moved {moved}, got {pprint.pformat(got, width=96)}")
 
     @pytest.mark.parametrize("cpus", [1, 3])
     @pytest.mark.parametrize("source_dim, projection_dim, max_lag",

@@ -119,6 +119,7 @@ _BASES = {
     "plane": (3, lambda gen: sample_plane(gen).basis()),
     "rotation": (2, lambda gen: rotation_matrix(sample_rotation(gen))),
     "identity": (3, lambda gen: np.eye(3)),
+    "scalar": (1, lambda gen: np.eye(1)),
 }
 
 
