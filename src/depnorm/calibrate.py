@@ -13,22 +13,16 @@ errors, contracting the projections in fixed blocks of ``_BASIS_BLOCK``.
 :func:`calibrate_null` is its identity-basis case; the study harness passes
 its M projections.
 
-:func:`calibrate_null` draws its replicates in chunks of ``_CHUNK``, each
-from its own RNG substream, and runs the chunks (draw, then fourth-moment
-reduction) on a thread pool of one worker per usable CPU, at most
-``_MAX_WORKERS``. numpy releases the GIL in the normal fills, FFTs and linear
-algebra that do the work, and the reductions are joined in chunk order, so
-the result is the same for any pool size and any scheduling.
-
-The study harness draws all its replicates from one substream, so its
-chunks cannot run apart. :func:`_draw_reduced` pipelines that one draw
-instead: the calling thread draws the normals in stream order, and it and
-a pool of one worker fewer than ``calibrate_null`` runs transform each slab
-of ``_SLAB`` complex draws (:func:`_transform_slab`, shared with
-:func:`simulate_gaussian_batch`) and reduce its replicates, exactly one
-``kurtosis._SAMPLE_BLOCK``, into their rows of the moments
-(``kurtosis._reduce_block``, shared with ``_fourth_moments``). The result is
-bit-identical to reducing the whole batch, and the batch is never formed.
+Every Monte Carlo draw runs on one scheduler, :func:`_run_tasks`: the
+calling thread takes tasks in order, and it and at most ``_MAX_WORKERS - 1``
+pool workers run them while numpy releases the GIL. Each task writes its
+own rows of preallocated moments, so the result is the same bit for bit on
+any number of CPUs. :func:`calibrate_null` has one task per chunk of
+``_CHUNK`` replicates, each chunk drawn from its own RNG substream. The
+study harness draws all its replicates from one substream, so
+:func:`_draw_reduced` takes their normals in stream order and has one task
+per slab of ``_SLAB`` complex draws (:func:`_transform_slab`, shared with
+:func:`simulate_gaussian_batch`), reduced by ``kurtosis._reduce_block``.
 """
 
 from __future__ import annotations
@@ -37,8 +31,10 @@ import logging
 import math
 import os
 from collections import deque
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -66,9 +62,9 @@ logger = logging.getLogger(__name__)
 # Replicates per RNG substream; fixed so results never depend on scheduling.
 _CHUNK = 256
 
-# Chunks in flight at once; fixed so peak memory does not grow with the CPU
-# count. A chunk in flight holds about 11.5 MB at N=1000, p=2 (tracemalloc),
-# so two keep a calibration's peak there near 24 MB.
+# Threads that run _run_tasks's tasks, the caller included; fixed so peak
+# memory does not grow with the CPU count. A chunk of calibrate_null holds
+# about 11.5 MB at N=1000, p=2 (tracemalloc), so two keep its peak near 24 MB.
 _MAX_WORKERS = 2
 
 # Complex draws transformed at once; fixed so a draw's temporaries do not
@@ -76,8 +72,8 @@ _MAX_WORKERS = 2
 # reduction block, so _draw_reduced reduces the blocks _fourth_moments does.
 _SLAB = _SAMPLE_BLOCK // 2
 
-# Slabs _draw_reduced holds drawn and not yet reduced; fixed so its
-# temporaries do not grow with the replicate count or the CPU count.
+# Tasks _run_tasks holds taken and not yet done; fixed so the slabs drawn
+# ahead do not grow with the replicate count or the CPU count.
 _IN_FLIGHT = 4
 
 # Projections contracted at once; fixed so peak memory does not grow with M.
@@ -103,6 +99,9 @@ class CalibrationBudget:
         _check_counts(self)
         if self.replicates < MIN_REPLICATES:
             raise ValueError(f"moment estimates need at least {MIN_REPLICATES} replicates")
+        if not isinstance(self.seed, RngStream):
+            raise ValueError(f"CalibrationBudget field 'seed' must be an RngStream, "
+                             f"got {self.seed!r}")
 
 
 class GaussianSurrogate:
@@ -197,19 +196,60 @@ def simulate_gaussian_batch(surrogate: GaussianSurrogate, rng: RngStream,
     return out
 
 
+def _run_tasks(tasks: Iterable[Callable[[], None]]) -> None:
+    """Run the zero-argument callables of the iterator ``tasks``, taken in
+    order on the calling thread, on it and ``min(CPUs, _MAX_WORKERS) - 1``
+    pool workers, with at most ``_IN_FLIGHT`` taken and not yet done. A
+    failed task stops the run with its error."""
+    workers = min(_usable_cpus(), _MAX_WORKERS) - 1
+    if workers == 0:
+        for task in tasks:
+            task()
+        return
+
+    # (future, task), oldest first. When _IN_FLIGHT tasks wait, the caller
+    # runs one no worker has started rather than wait for a slot, so the
+    # threads never outnumber the CPUs.
+    in_flight: deque = deque()
+
+    def settle(room: int) -> None:
+        # leave at most `room` tasks in flight, raising a worker's error
+        while in_flight:
+            if in_flight[0][0].done():
+                in_flight.popleft()[0].result()
+            elif len(in_flight) <= room:
+                return
+            else:
+                for i in reversed(range(len(in_flight))):
+                    future, task = in_flight[i]
+                    if future.cancel():
+                        del in_flight[i]
+                        task()
+                        break
+                else:
+                    in_flight[0][0].result()
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for task in tasks:
+                settle(_IN_FLIGHT - 1)
+                in_flight.append((pool.submit(task), task))
+            settle(0)
+        finally:
+            for future, _ in in_flight:
+                future.cancel()
+
+
 def _draw_reduced(surrogate: GaussianSurrogate, rng: RngStream,
                   count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_fourth_moments(simulate_gaussian_batch(surrogate, rng, count))``,
-    bit for bit, without forming the (count, p, N) batch.
-
-    The calling thread draws the normals in stream order. It and a pool of
-    one worker fewer than the usable CPUs, at most ``_MAX_WORKERS`` threads
-    in all, transform each slab and reduce its 2 * ``_SLAB`` replicates, one
-    ``_SAMPLE_BLOCK``, into the rows of the preallocated moments that
-    ``_fourth_moments`` would give them. At most ``_IN_FLIGHT`` slabs are
-    drawn and not yet reduced, so the slab temporaries do not grow with
-    count; a failed slab stops the draw.
-    """
+    bit for bit, without forming the (count, p, N) batch: each
+    :func:`_run_tasks` task transforms one slab and reduces its 2 * ``_SLAB``
+    replicates, one ``_SAMPLE_BLOCK``, into the rows ``_fourth_moments``
+    would give them. The peak still grows with count, as the stream layout
+    draws every real normal, (count/2, K, p), before the first slab: at
+    N=1000, p=3 it is about 24, 36 and 60 MB at count 500, 1000 and 2000
+    (tracemalloc), of which the real normals are 11.4, 22.9 and 45.8 MB."""
     moments = _empty_moments(count, surrogate.p)
 
     def reduce_slab(start: int, real: np.ndarray, imag: np.ndarray) -> None:
@@ -218,44 +258,7 @@ def _draw_reduced(surrogate: GaussianSurrogate, rng: RngStream,
         _transform_slab(surrogate, real, imag, batch)
         _reduce_block(batch, *(out[rows] for out in moments))
 
-    workers = min(_usable_cpus(), _MAX_WORKERS) - 1
-    if workers == 0:
-        for slab in _normal_draws(surrogate, rng, count):
-            reduce_slab(*slab)
-        return moments
-
-    # (future, slab), oldest first. The caller is one of the threads: when
-    # _IN_FLIGHT slabs wait, it reduces one no worker has started rather
-    # than wait for a slot. So the threads never outnumber the CPUs, and the
-    # draw, the one part that must run in order, shares no CPU with them.
-    in_flight: deque = deque()
-
-    def settle(room: int) -> None:
-        # leave at most `room` slabs in flight, raising a worker's error
-        while in_flight:
-            if in_flight[0][0].done():
-                in_flight.popleft()[0].result()
-            elif len(in_flight) <= room:
-                return
-            else:
-                for i in reversed(range(len(in_flight))):
-                    future, slab = in_flight[i]
-                    if future.cancel():
-                        del in_flight[i]
-                        reduce_slab(*slab)
-                        break
-                else:
-                    in_flight[0][0].result()
-
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            for slab in _normal_draws(surrogate, rng, count):
-                settle(_IN_FLIGHT - 1)
-                in_flight.append((pool.submit(reduce_slab, *slab), slab))
-            settle(0)
-        finally:
-            for future, _ in in_flight:
-                future.cancel()
+    _run_tasks(partial(reduce_slab, *slab) for slab in _normal_draws(surrogate, rng, count))
     return moments
 
 
@@ -311,27 +314,23 @@ def calibrate_null(surrogate: GaussianSurrogate,
     """Null moments of the kurtosis statistic over surrogate replicates: the
     identity-basis case of :func:`_replicate_moments`.
 
-    Replicates are drawn in fixed-size chunks, one RNG substream per chunk,
-    so the result is reproducible from the budget seed, and each chunk is
-    reduced to its fourth moments as soon as it is drawn. The chunks run on
-    a thread pool with one worker per usable CPU, at most ``_MAX_WORKERS``
-    and one per chunk, and their reductions are joined in chunk order, so
-    the result depends on neither the pool size nor the scheduling. Raises ``ValueError`` if the
+    Replicates are drawn in chunks of ``_CHUNK``, one RNG substream and one
+    :func:`_run_tasks` task per chunk, so the result is reproducible from
+    the budget seed on any number of CPUs. Raises ``ValueError`` if the
     surrogate is too short for the statistic to depend on its data, and
     ``DegenerateSampleError`` if any replicate is degenerate.
     """
     _check_length(surrogate.p, surrogate.n, "calibration")
     budget = budget or CalibrationBudget()
-    starts = range(0, budget.replicates, _CHUNK)
+    null = _empty_moments(budget.replicates, surrogate.p)
 
-    def reduce_chunk(i: int):
-        take = min(_CHUNK, budget.replicates - starts[i])
-        return _fourth_moments(
-            simulate_gaussian_batch(surrogate, budget.seed.substream(i), take))
+    def reduce_chunk(i: int) -> None:
+        batch = simulate_gaussian_batch(surrogate, budget.seed.substream(i),
+                                        min(_CHUNK, budget.replicates - i * _CHUNK))
+        for out, part in zip(null, _fourth_moments(batch)):
+            out[i * _CHUNK : i * _CHUNK + len(batch)] = part
 
-    with ThreadPoolExecutor(min(_usable_cpus(), _MAX_WORKERS, len(starts))) as pool:
-        parts = list(pool.map(reduce_chunk, range(len(starts))))
-    null = tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    _run_tasks(partial(reduce_chunk, i) for i in range(math.ceil(budget.replicates / _CHUNK)))
     moments = _replicate_moments(np.eye(surrogate.p)[None], null)[:, 0]
     if not np.isfinite(moments[0]):
         raise DegenerateSampleError(_DEGENERATE_MESSAGE)

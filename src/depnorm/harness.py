@@ -23,8 +23,10 @@ U S(tau) U^T, the law a per-projection surrogate would have. It is drawn
 and reduced slab by slab on a thread pool (``calibrate._draw_reduced``),
 bit-identical to reducing the whole batch, and contracted against the
 bases in fixed blocks (``calibrate._replicate_moments``), so a
-realization's peak memory does not grow with M or with the replicate
-count.
+realization's peak memory does not grow with M. It does grow with the
+replicate count: the stream layout draws the real normals of every
+replicate, (R/2, K, p), before the first slab, 11.4 MB of a peak near
+24 MB at N=1000, p=3 and R=500.
 """
 
 from __future__ import annotations
@@ -281,7 +283,14 @@ class RejectionRateReport:
         return sum(self.skipped)
 
     def rate(self, kind: TestKind, alpha: float) -> float:
-        return self.rates[kind.value][f"{alpha:g}"]
+        """Rejection rate of ``kind`` at ``alpha``; ``ValueError`` naming the
+        kinds and alphas the study ran if it did not run this pair."""
+        rate = self.rates.get(kind.value, {}).get(f"{alpha:g}")
+        if rate is None:
+            raise ValueError(
+                f"the study ran kinds {[k.value for k in self.config.tests]} at alphas "
+                f"{list(self.config.alphas)}, not {kind.value!r} at {alpha:g}")
+        return rate
 
     def to_dict(self) -> dict:
         return {

@@ -99,12 +99,11 @@ class KurtosisValue:
 
 # A zero, overflowing or singular S gives NaN or inf in _reduce_block and
 # _projected_kurtosis, which the latter turns into NaN values, so their
-# warnings are noise. Kept as a decorator, because worker threads run these
-# kernels at once (calibrate_null's chunk pool, and the slab pipeline of the
-# harness's one-batch draw): numpy >= 2 holds the decorator's context token
-# per call (a second thread entering a shared ``with _QUIET:`` raises
-# TypeError), and numpy 1.x keeps the error state per thread, so each worker
-# saves and restores the same fresh-thread default.
+# warnings are noise. Kept as a decorator, because the threads of
+# calibrate._run_tasks run these kernels at once: numpy >= 2 holds the
+# decorator's context token per call (a second thread entering a shared
+# ``with _QUIET:`` raises TypeError), and numpy 1.x keeps the error state per
+# thread, so each thread saves and restores the same fresh-thread default.
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 # Samples reduced at once; fixed so the reduction's temporaries do not grow

@@ -86,6 +86,12 @@ class TestBudget:
         with pytest.raises(ValueError, match="'replicates' must be an integer"):
             CalibrationBudget(replicates=count)
 
+    @pytest.mark.parametrize("seed", [5, None, (16, 0)])
+    def test_seed_must_be_an_rng_stream(self, seed):
+        # not only when a chunk draws from its substream
+        with pytest.raises(ValueError, match="'seed' must be an RngStream"):
+            CalibrationBudget(replicates=200, seed=seed)
+
     def test_max_lag_resolution(self):
         assert resolve_max_lag(None, 1000) == 999
         assert resolve_max_lag(50, 1000) == 50
@@ -270,22 +276,38 @@ class TestCalibrateNull:
             sys.setswitchinterval(interval)
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("cpus, replicates, workers",
-                             [(1, 2000, 1), (8, 2000, _MAX_WORKERS), (8, 200, 1)])
-    def test_pool_size(self, monkeypatch, cpus, replicates, workers):
-        # one worker per usable CPU, capped by _MAX_WORKERS and the chunk count
-        sizes = []
+    def test_failed_chunk_stops_the_calibration(self, monkeypatch):
+        # the error reaches the caller without waiting for a free slot, the
+        # draw stops within the in-flight bound short of the 8 chunks, and
+        # the pool's threads end
+        calls = []
 
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("chunk draw failed")
+            return simulate_gaussian_batch(*args)
 
-        monkeypatch.setattr("depnorm.calibrate.ThreadPoolExecutor", Recording)
-        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: cpus)
-        sur = GaussianSurrogate(_ar1_cov(0.5, 5, p=2), 40)
-        calibrate_null(sur, CalibrationBudget(replicates=replicates, seed=RngStream(79)))
-        assert sizes == [workers]
+        monkeypatch.setattr("depnorm.calibrate.simulate_gaussian_batch", failing)
+        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: 2)
+        sur = GaussianSurrogate(_ar1_cov(0.5, 20, p=2), 150)
+        budget = CalibrationBudget(replicates=2000, seed=RngStream(97))
+        before = threading.active_count()
+        errors = []
+
+        def calibrate():
+            try:
+                calibrate_null(sur, budget)
+            except RuntimeError as err:
+                errors.append(err)
+
+        runner = threading.Thread(target=calibrate, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert [str(err) for err in errors] == ["chunk draw failed"]
+        assert 3 <= len(calls) <= 3 + _IN_FLIGHT < math.ceil(budget.replicates / _CHUNK)
+        assert threading.active_count() == before
 
 
 class TestReplicateMoments:
@@ -367,22 +389,6 @@ class TestDrawReduced:
             assert have.shape == want.shape and have.strides == want.strides
             assert have.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("cpus, sizes", [(1, []), (2, [1]), (8, [_MAX_WORKERS - 1])])
-    def test_pool_size(self, monkeypatch, cpus, sizes):
-        # the caller is one of the threads, so the pool has one worker fewer
-        # than the usable CPUs, capped by _MAX_WORKERS, and none on one CPU
-        made = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr("depnorm.calibrate.ThreadPoolExecutor", Recording)
-        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: cpus)
-        _draw_reduced(_var1_surrogate(2, 10), RngStream(89), 200)
-        assert made == sizes
-
     def test_failed_slab_stops_the_study(self, monkeypatch):
         # the error reaches the caller without waiting for a free slot, the
         # draw stops within the in-flight bound, and the pool's threads end
@@ -414,3 +420,27 @@ class TestDrawReduced:
         assert [str(err) for err in errors] == ["slab transform failed"]
         assert 3 <= len(calls) <= 3 + _IN_FLIGHT
         assert threading.active_count() == before
+
+
+class TestRunTasks:
+    @pytest.mark.parametrize("caller", ["calibrate_null", "draw_reduced"])
+    @pytest.mark.parametrize("cpus, sizes", [(1, []), (2, [1]), (8, [_MAX_WORKERS - 1])])
+    def test_pool_size(self, monkeypatch, cpus, sizes, caller):
+        # both draws run on _run_tasks, whose caller is one of the threads:
+        # the pool has one worker fewer than the usable CPUs, capped by
+        # _MAX_WORKERS, and none on one CPU
+        made = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr("depnorm.calibrate.ThreadPoolExecutor", Recording)
+        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: cpus)
+        sur = _var1_surrogate(2, 10)
+        if caller == "calibrate_null":
+            calibrate_null(sur, CalibrationBudget(replicates=2000, seed=RngStream(79)))
+        else:
+            _draw_reduced(sur, RngStream(89), 200)
+        assert made == sizes

@@ -228,11 +228,12 @@ class TestParsing:
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "m.csv"
+        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "depnorm.cli", "generate", "--family",
              "gumbel", "--dim", "2", "--len", "300", "--seed", "2",
              "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -301,6 +301,16 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         assert set(rep.rates) == {"colored2"}
 
+    @pytest.mark.parametrize("kind, alpha", [(TestKind.COLORED_SCALAR, 0.01),
+                                             (TestKind.COLORED_BIVARIATE, 0.05)])
+    def test_rate_the_study_did_not_run(self, kind, alpha):
+        # a ValueError naming what the study ran, not a bare KeyError
+        rep = run_experiment(_tiny_config())
+        assert rep.rate(TestKind.COLORED_SCALAR, 0.05) == rep.rates["colored1"]["0.05"]
+        with pytest.raises(ValueError, match=r"kinds \['colored1', 'iid'\] at alphas "
+                                             r"\[0.05, 0.1\]"):
+            rep.rate(kind, alpha)
+
 
 class TestPipelineMatchesPublicApi:
     """The batched experiment internals must agree with run_test."""
