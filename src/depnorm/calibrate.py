@@ -13,16 +13,17 @@ errors, contracting the projections in fixed blocks of ``_BASIS_BLOCK``.
 :func:`calibrate_null` is its identity-basis case; the study harness passes
 its M projections.
 
-Every Monte Carlo draw runs on one scheduler, :func:`_run_tasks`: the
-calling thread takes tasks in order, and it and at most ``_MAX_WORKERS - 1``
-pool workers run them while numpy releases the GIL. Each task writes its
-own rows of preallocated moments, so the result is the same bit for bit on
-any number of CPUs. :func:`calibrate_null` has one task per chunk of
-``_CHUNK`` replicates, each chunk drawn from its own RNG substream. The
-study harness draws all its replicates from one substream, so
-:func:`_draw_reduced` takes their normals in stream order and has one task
-per slab of ``_SLAB`` complex draws (:func:`_transform_slab`, shared with
-:func:`simulate_gaussian_batch`), reduced by ``kurtosis._reduce_block``.
+Every Monte Carlo draw runs through one pipeline, :func:`_draw_reduced`,
+which lays the replicates of (RNG stream, count) segments end to end and
+has one task per slab of ``_SLAB`` complex draws (:func:`_transform_slab`,
+shared with :func:`simulate_gaussian_batch`), reduced by
+``kurtosis._reduce_block``. :func:`calibrate_null` has one segment per
+chunk of ``_CHUNK`` replicates, each from its own RNG substream; the study
+harness has one segment of all its replicates. The tasks run on
+:func:`_run_tasks`: the calling thread takes them in order, and it and at
+most ``_MAX_WORKERS - 1`` pool workers run them while numpy releases the
+GIL. Each task writes its own rows of preallocated moments, so the result
+is the same bit for bit on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .core import (
     RngStream,
     _check_counts,
 )
-from .kurtosis import (_DEGENERATE_MESSAGE, _SAMPLE_BLOCK, _check_length, _empty_moments,
-                       _fourth_moments, _projected_kurtosis, _reduce_block)
+from .kurtosis import (_DEGENERATE_MESSAGE, _check_length, _empty_moments, _projected_kurtosis,
+                       _reduce_block)
 
 __all__ = [
     "CalibrationBudget",
@@ -63,14 +64,14 @@ logger = logging.getLogger(__name__)
 _CHUNK = 256
 
 # Threads that run _run_tasks's tasks, the caller included; fixed so peak
-# memory does not grow with the CPU count. A chunk of calibrate_null holds
-# about 11.5 MB at N=1000, p=2 (tracemalloc), so two keep its peak near 24 MB.
+# memory does not grow with the CPU count. Each adds a slab's temporaries
+# and the next segment's real normals: calibrate_null's peak at N=1000,
+# p=2, R=2000 is 9.5 MB on one thread and 17 MB on two (tracemalloc).
 _MAX_WORKERS = 2
 
-# Complex draws transformed at once; fixed so a draw's temporaries do not
-# grow with its replicate count. A slab's replicates fill exactly one
-# reduction block, so _draw_reduced reduces the blocks _fourth_moments does.
-_SLAB = _SAMPLE_BLOCK // 2
+# Complex draws transformed and reduced at once, 2 * _SLAB replicates; fixed
+# so a draw's temporaries do not grow with its replicate count.
+_SLAB = 16
 
 # Tasks _run_tasks holds taken and not yet done; fixed so the slabs drawn
 # ahead do not grow with the replicate count or the CPU count.
@@ -240,25 +241,32 @@ def _run_tasks(tasks: Iterable[Callable[[], None]]) -> None:
                 future.cancel()
 
 
-def _draw_reduced(surrogate: GaussianSurrogate, rng: RngStream,
-                  count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_fourth_moments(simulate_gaussian_batch(surrogate, rng, count))``,
-    bit for bit, without forming the (count, p, N) batch: each
-    :func:`_run_tasks` task transforms one slab and reduces its 2 * ``_SLAB``
-    replicates, one ``_SAMPLE_BLOCK``, into the rows ``_fourth_moments``
-    would give them. The peak still grows with count, as the stream layout
-    draws every real normal, (count/2, K, p), before the first slab: at
-    N=1000, p=3 it is about 24, 36 and 60 MB at count 500, 1000 and 2000
-    (tracemalloc), of which the real normals are 11.4, 22.9 and 45.8 MB."""
-    moments = _empty_moments(count, surrogate.p)
+def _draw_reduced(surrogate: GaussianSurrogate, segments: list[tuple[RngStream, int]],
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_fourth_moments`` of the replicates of the (stream, count)
+    ``segments``, ``simulate_gaussian_batch(surrogate, stream, count)`` laid
+    end to end, bit for bit, without forming a batch: each
+    :func:`_run_tasks` task transforms one slab and reduces it into its
+    rows. A segment's real normals, (count/2, K, p), are drawn before its
+    first slab, so the peak grows with the largest segment: at N=1000, p=3
+    it is about 24, 36 and 60 MB at count 500, 1000 and 2000 (tracemalloc),
+    of which the real normals are 11.4, 22.9 and 45.8 MB."""
+    moments = _empty_moments(sum(count for _, count in segments), surrogate.p)
 
-    def reduce_slab(start: int, real: np.ndarray, imag: np.ndarray) -> None:
-        rows = slice(2 * start, min(2 * (start + _SLAB), count))
+    def reduce_slab(rows: slice, real: np.ndarray, imag: np.ndarray) -> None:
         batch = np.empty((rows.stop - rows.start, surrogate.p, surrogate.n))
         _transform_slab(surrogate, real, imag, batch)
         _reduce_block(batch, *(out[rows] for out in moments))
 
-    _run_tasks(partial(reduce_slab, *slab) for slab in _normal_draws(surrogate, rng, count))
+    def tasks():
+        offset = 0
+        for rng, count in segments:
+            for start, real, imag in _normal_draws(surrogate, rng, count):
+                rows = slice(offset + 2 * start, offset + min(2 * (start + _SLAB), count))
+                yield partial(reduce_slab, rows, real, imag)
+            offset += count
+
+    _run_tasks(tasks())
     return moments
 
 
@@ -315,24 +323,18 @@ def calibrate_null(surrogate: GaussianSurrogate,
     identity-basis case of :func:`_replicate_moments`.
 
     Replicates are drawn in chunks of ``_CHUNK``, one RNG substream and one
-    :func:`_run_tasks` task per chunk, so the result is reproducible from
-    the budget seed on any number of CPUs. Raises ``ValueError`` if the
-    surrogate is too short for the statistic to depend on its data, and
+    :func:`_draw_reduced` segment per chunk, so the result is reproducible
+    from the budget seed on any number of CPUs and the peak memory is
+    bounded by the chunk size. Raises ``ValueError`` if the surrogate is too
+    short for the statistic to depend on its data, and
     ``DegenerateSampleError`` if any replicate is degenerate.
     """
     _check_length(surrogate.p, surrogate.n, "calibration")
     budget = budget or CalibrationBudget()
-    null = _empty_moments(budget.replicates, surrogate.p)
-
-    def reduce_chunk(i: int) -> None:
-        batch = simulate_gaussian_batch(surrogate, budget.seed.substream(i),
-                                        min(_CHUNK, budget.replicates - i * _CHUNK))
-        for out, part in zip(null, _fourth_moments(batch)):
-            out[i * _CHUNK : i * _CHUNK + len(batch)] = part
-
-    _run_tasks(partial(reduce_chunk, i) for i in range(math.ceil(budget.replicates / _CHUNK)))
+    r = budget.replicates
+    null = _draw_reduced(surrogate, [(budget.seed.substream(i), min(_CHUNK, r - start))
+                                     for i, start in enumerate(range(0, r, _CHUNK))])
     moments = _replicate_moments(np.eye(surrogate.p)[None], null)[:, 0]
     if not np.isfinite(moments[0]):
         raise DegenerateSampleError(_DEGENERATE_MESSAGE)
-    return CalibrationResult(*map(float, moments), budget.replicates,
-                             surrogate.clipping_norm)
+    return CalibrationResult(*map(float, moments), r, surrogate.clipping_norm)

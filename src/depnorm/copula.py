@@ -43,7 +43,8 @@ _UNIFORM_EPS = 1e-15
 class ArchimedeanFamily:
     """A copula family tag plus its dependence parameter rho.
 
-    Gumbel requires rho >= 1 (rho = 1 is independence), Clayton rho > 0.
+    Gumbel requires a finite rho >= 1 (rho = 1 is independence), Clayton a
+    finite rho > 0.
     """
 
     kind: str
@@ -52,6 +53,8 @@ class ArchimedeanFamily:
     def __post_init__(self) -> None:
         if self.kind not in (GUMBEL, CLAYTON):
             raise ValueError(f"unknown family {self.kind!r}")
+        if not np.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho}")
         if self.kind == GUMBEL and not self.rho >= 1.0:
             raise ValueError(f"Gumbel needs rho >= 1, got {self.rho}")
         if self.kind == CLAYTON and not self.rho > 0.0:

@@ -73,6 +73,7 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
+        _check_counts(self)
         if not (0 <= self.seed <= _MASK64 and 0 <= self.stream_id <= _MASK64):
             raise ValueError("seed and stream_id must fit in 64 bits")
 

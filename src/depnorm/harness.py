@@ -231,6 +231,8 @@ class ExperimentConfig:
         """Inverse of :meth:`to_dict`. Absent keys take the field defaults and
         an absent ``rho`` the family's default; unknown keys and absent
         required keys are an error."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"experiment config must be a JSON object, got {raw!r}")
         by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)[1:]}
         unknown = set(raw) - set(by_key) - {"family", "rho"}
         if unknown:
@@ -327,7 +329,7 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
     def calibrate(surrogate):
         # one batch of source replicates serves the null of every projection
         return _replicate_moments(bases, _draw_reduced(
-            surrogate, stream.substream(_SURROGATE, r), cfg.calib_replicates))
+            surrogate, [(stream.substream(_SURROGATE, r), cfg.calib_replicates)]))
 
     pvalues: dict[TestKind, np.ndarray] = {}
     for kind in cfg.tests:

@@ -106,10 +106,6 @@ class KurtosisValue:
 # thread, so each thread saves and restores the same fresh-thread default.
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
-# Samples reduced at once; fixed so the reduction's temporaries do not grow
-# with the number of samples.
-_SAMPLE_BLOCK = 32
-
 
 def _unit_scale(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each (p, N) sample of ``data`` (..., p, N) times the power of two that
@@ -138,9 +134,8 @@ def _eigen_factor(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @_QUIET
 def _reduce_block(batch: np.ndarray, s: np.ndarray, whiten: np.ndarray,
                   m4: np.ndarray) -> None:
-    """Write the :func:`_fourth_moments` of one block of at most
-    ``_SAMPLE_BLOCK`` samples, shape (B, p, N), into the matching rows of
-    its three outputs."""
+    """Write the :func:`_fourth_moments` of a block of samples, shape
+    (B, p, N), into its three outputs, each with B rows."""
     _, p, n = batch.shape
     rows, cols = np.triu_indices(p)
     x = batch - batch.mean(axis=2, keepdims=True)
@@ -158,8 +153,7 @@ def _reduce_block(batch: np.ndarray, s: np.ndarray, whiten: np.ndarray,
 
 def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sufficient statistics of B for every projection of a batch of
-    samples, shape (R, p, N), reduced in blocks of ``_SAMPLE_BLOCK`` samples
-    by :func:`_reduce_block`.
+    samples, shape (R, p, N), reduced at once by :func:`_reduce_block`.
 
     Centers each sample and scales it by :func:`_unit_scale`. B is
     scale-invariant, so this changes no statistic, but it keeps S
@@ -178,11 +172,8 @@ def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     a singular S still yields a finite L, and a projection that avoids its
     null space is still contracted in whitened coordinates.
     """
-    r, p, _ = batch.shape
-    moments = _empty_moments(r, p)
-    for start in range(0, r, _SAMPLE_BLOCK):
-        block = slice(start, start + _SAMPLE_BLOCK)
-        _reduce_block(batch[block], *(out[block] for out in moments))
+    moments = _empty_moments(*batch.shape[:2])
+    _reduce_block(batch, *moments)
     return moments
 
 

@@ -62,9 +62,9 @@ def test_tracer_sees_every_projection_draw(monkeypatch, source_dim, projection_d
     draw_reduced = importlib.import_module("depnorm.calibrate")._draw_reduced
     counts = []
 
-    def counting(surrogate, rng, count):
-        counts.append(count)
-        return draw_reduced(surrogate, rng, count)
+    def counting(surrogate, segments):
+        counts.append([count for _, count in segments])
+        return draw_reduced(surrogate, segments)
 
     monkeypatch.setattr("depnorm.harness._draw_reduced", counting)
     cfg = ExperimentConfig(ArchimedeanFamily.gumbel(), source_dim, projection_dim,
@@ -77,12 +77,22 @@ def test_tracer_sees_every_projection_draw(monkeypatch, source_dim, projection_d
     assert tracer.spans[("core", "cross_cov")][0] == cfg.realizations
     if projection_dim == 2:
         # and one replicate batch per realization serves every projection's null
-        assert counts == [cfg.calib_replicates] * cfg.realizations
+        assert counts == [[cfg.calib_replicates]] * cfg.realizations
 
 
-def test_tracer_sees_the_calibration_of_one_test():
+def test_tracer_sees_the_calibration_of_one_test(monkeypatch):
     from depnorm import CalibrationBudget, RngStream, TestKind, TimeSeriesSample
 
+    # calibrate_null draws its replicates through calibrate._draw_reduced,
+    # which the tracer does not span yet, so count its calls here
+    draw_reduced = importlib.import_module("depnorm.calibrate")._draw_reduced
+    counts = []
+
+    def counting(surrogate, segments):
+        counts.append(sum(count for _, count in segments))
+        return draw_reduced(surrogate, segments)
+
+    monkeypatch.setattr("depnorm.calibrate._draw_reduced", counting)
     x = TimeSeriesSample(RngStream(61).generator().standard_normal((2, 200)))
     budget = CalibrationBudget(replicates=300, seed=RngStream(67))
     tracer = _tracing().Tracer()
@@ -90,4 +100,4 @@ def test_tracer_sees_the_calibration_of_one_test():
         kurtosis = importlib.import_module("depnorm.kurtosis")
         kurtosis.run_test(x, TestKind.COLORED_BIVARIATE, 0.05, budget=budget)
     assert tracer.spans[("calibrate", "null_stat")][0] == 1
-    assert tracer.replicates_drawn == budget.replicates
+    assert counts == [budget.replicates]

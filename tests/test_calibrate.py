@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -276,39 +277,6 @@ class TestCalibrateNull:
             sys.setswitchinterval(interval)
         assert results[0] == results[1]
 
-    def test_failed_chunk_stops_the_calibration(self, monkeypatch):
-        # the error reaches the caller without waiting for a free slot, the
-        # draw stops within the in-flight bound short of the 8 chunks, and
-        # the pool's threads end
-        calls = []
-
-        def failing(*args):
-            calls.append(args)
-            if len(calls) == 3:
-                raise RuntimeError("chunk draw failed")
-            return simulate_gaussian_batch(*args)
-
-        monkeypatch.setattr("depnorm.calibrate.simulate_gaussian_batch", failing)
-        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: 2)
-        sur = GaussianSurrogate(_ar1_cov(0.5, 20, p=2), 150)
-        budget = CalibrationBudget(replicates=2000, seed=RngStream(97))
-        before = threading.active_count()
-        errors = []
-
-        def calibrate():
-            try:
-                calibrate_null(sur, budget)
-            except RuntimeError as err:
-                errors.append(err)
-
-        runner = threading.Thread(target=calibrate, daemon=True)
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive()
-        assert [str(err) for err in errors] == ["chunk draw failed"]
-        assert 3 <= len(calls) <= 3 + _IN_FLIGHT < math.ceil(budget.replicates / _CHUNK)
-        assert threading.active_count() == before
-
 
 class TestReplicateMoments:
     def test_matches_plain_moments_per_projection(self, monkeypatch):
@@ -368,30 +336,37 @@ class TestReplicateMoments:
 class TestDrawReduced:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("p", [1, 2, 3])
-    @pytest.mark.parametrize("count", [1, 31, 32, 33, 64, 257, 500])
+    @pytest.mark.parametrize("counts", [pytest.param((c,), id=str(c))
+                                        for c in (1, 31, 32, 33, 64, 257, 500)]
+                             + [pytest.param((33, 1, 256), id="33-1-256")])
     @pytest.mark.parametrize("max_lag", [10, 119])
-    def test_matches_the_reduced_batch(self, monkeypatch, threads, p, count, max_lag):
+    def test_matches_the_reduced_batch(self, monkeypatch, threads, p, counts, max_lag):
         # byte for byte and in M4's layout, for any pool size, with threads
-        # switching often; counts straddle the slab edges
+        # switching often; counts straddle the slab edges, and the segments
+        # of several streams join in segment order
         sur = _var1_surrogate(p, max_lag)
-        expected = _fourth_moments(simulate_gaussian_batch(sur, RngStream(83, count), count))
+        segments = [(RngStream(83 + i, count), count) for i, count in enumerate(counts)]
+        parts = [_fourth_moments(simulate_gaussian_batch(sur, *segment)) for segment in segments]
+        expected = tuple(np.concatenate(arrays) for arrays in zip(*parts))
         d = p * (p + 1) // 2
-        assert expected[2].shape == (count, d, d) and expected[2].flags.c_contiguous
+        assert expected[2].shape == (sum(counts), d, d) and expected[2].flags.c_contiguous
         monkeypatch.setattr("depnorm.calibrate._MAX_WORKERS", 3)
         monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: threads)
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-5)
-            got = _draw_reduced(sur, RngStream(83, count), count)
+            got = _draw_reduced(sur, segments)
         finally:
             sys.setswitchinterval(interval)
         for want, have in zip(expected, got, strict=True):
             assert have.shape == want.shape and have.strides == want.strides
             assert have.tobytes() == want.tobytes()
 
-    def test_failed_slab_stops_the_study(self, monkeypatch):
+    @pytest.mark.parametrize("caller", ["calibrate_null", "run_experiment"])
+    def test_failed_slab_stops_the_draw(self, monkeypatch, caller):
         # the error reaches the caller without waiting for a free slot, the
-        # draw stops within the in-flight bound, and the pool's threads end
+        # draw stops within the in-flight bound short of its 63 slabs, and
+        # the pool's threads end
         calls = []
 
         def failing(*args):
@@ -402,23 +377,29 @@ class TestDrawReduced:
 
         monkeypatch.setattr("depnorm.calibrate._transform_slab", failing)
         monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: 2)
-        cfg = ExperimentConfig(ArchimedeanFamily.gumbel(), 2, 2, True, n=200, m=3,
-                               realizations=2, calib_replicates=2000)
+        if caller == "calibrate_null":
+            sur = GaussianSurrogate(_ar1_cov(0.5, 20, p=2), 150)
+            draw = partial(calibrate_null, sur,
+                           CalibrationBudget(replicates=2000, seed=RngStream(97)))
+        else:
+            draw = partial(run_experiment, ExperimentConfig(
+                ArchimedeanFamily.gumbel(), 2, 2, True, n=200, m=3, realizations=2,
+                calib_replicates=2000))
         before = threading.active_count()
         errors = []
 
-        def study():
+        def run():
             try:
-                run_experiment(cfg)
+                draw()
             except RuntimeError as err:
                 errors.append(err)
 
-        runner = threading.Thread(target=study, daemon=True)
+        runner = threading.Thread(target=run, daemon=True)
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive()
         assert [str(err) for err in errors] == ["slab transform failed"]
-        assert 3 <= len(calls) <= 3 + _IN_FLIGHT
+        assert 3 <= len(calls) <= 3 + _IN_FLIGHT < 2000 // (2 * _SLAB)
         assert threading.active_count() == before
 
 
@@ -442,5 +423,5 @@ class TestRunTasks:
         if caller == "calibrate_null":
             calibrate_null(sur, CalibrationBudget(replicates=2000, seed=RngStream(79)))
         else:
-            _draw_reduced(sur, RngStream(89), 200)
+            _draw_reduced(sur, [(RngStream(89), 200)])
         assert made == sizes

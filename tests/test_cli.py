@@ -171,6 +171,25 @@ class TestInputErrors:
         self._fails(capsys, ["experiment", "--config", str(path)],
                     "tests must be one or more distinct test kinds, got []")
 
+    @pytest.mark.parametrize("text", ["5", "null", "[{}]", '"abc"'])
+    def test_config_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        self._fails(capsys, ["experiment", "--config", str(path)],
+                    "experiment config must be a JSON object")
+
+    def test_config_rho_not_finite(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf
+        path = self._config(tmp_path)
+        path.write_text(path.read_text().replace("}", ', "rho": 1e400}'))
+        self._fails(capsys, ["experiment", "--config", str(path)], "rho must be finite")
+
+    @pytest.mark.parametrize("family", ["gumbel", "clayton"])
+    def test_generate_rho_not_finite(self, tmp_path, capsys, family):
+        self._fails(capsys, ["generate", "--family", family, "--rho", "inf",
+                             "--out", str(tmp_path / "x.csv")], "rho must be finite, got inf")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_kind_dimension_mismatch(self, tmp_path, capsys):
         out = _generate(tmp_path)
         self._fails(capsys, ["test", "--in", str(out), "--kind", "colored1"],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import kendalltau, kstest
@@ -34,6 +36,12 @@ class TestFamilyValidation:
         ArchimedeanFamily.clayton(0.1)
         with pytest.raises(ValueError):
             ArchimedeanFamily.clayton(0.0)
+
+    @pytest.mark.parametrize("kind", ["gumbel", "clayton"])
+    @pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+    def test_rho_must_be_finite(self, kind, rho):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            ArchimedeanFamily.named(kind, rho)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -208,6 +208,12 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0, 1 << 64)
 
+    @pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (2.0, 0), (True, 0), (0, 2.5)])
+    def test_rejects_a_seed_that_is_not_an_int(self, seed, stream_id):
+        # at construction, not at the first draw
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngStream(seed, stream_id)
+
 
 class TestPersistence:
     def test_csv_round_trip(self, tmp_path):

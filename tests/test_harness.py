@@ -234,6 +234,11 @@ class TestExperimentConfig:
         assert cfg == ExperimentConfig.from_dict(raw)
         assert json.dumps(cfg.to_dict()) == json.dumps(raw)
 
+    @pytest.mark.parametrize("raw", [5, None, [{}], "abc"])
+    def test_from_dict_rejects_a_config_that_is_not_an_object(self, raw):
+        with pytest.raises(ValueError, match="experiment config must be a JSON object"):
+            ExperimentConfig.from_dict(raw)
+
     def test_from_dict_rejects_unknown_keys(self):
         raw = _tiny_config().to_dict()
         raw["calib_replicate"] = raw.pop("calib_replicates")

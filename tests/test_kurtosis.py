@@ -30,7 +30,7 @@ from depnorm import (
     two_sided_p_value,
 )
 from depnorm.copula import ar1_filter
-from depnorm.kurtosis import (_SAMPLE_BLOCK, KurtosisValue, _fourth_moments, _null_moments,
+from depnorm.kurtosis import (KurtosisValue, _fourth_moments, _null_moments,
                               _projected_kurtosis)
 from depnorm.projection import rotation_matrix, sample_direction, sample_plane, sample_rotation
 from reference import direct_colored1_moments, direct_kurtosis
@@ -173,15 +173,15 @@ class TestProjectedKurtosis:
         np.testing.assert_array_equal(ok[0], [False, False, True])
 
     def test_blocked_reduction_matches_per_sample(self):
-        # R is not a multiple of the block; a collinear sample sits in the
-        # middle and a constant one, whose moments are NaN, ends a block
+        # a collinear sample sits in the middle and a constant one, whose
+        # moments are NaN, among finite ones
         gen = RngStream(34).generator()
-        r = 2 * _SAMPLE_BLOCK + 5
+        r = 69
         batch = _mixed_batch(gen, 3, 10.0, r=r, n=60)
         batch[r // 2, 2] = batch[r // 2, 0] + batch[r // 2, 1]
-        batch[_SAMPLE_BLOCK - 1] = 0.5
+        batch[31] = 0.5
         whole = _fourth_moments(batch)
-        assert np.isnan(whole[2][_SAMPLE_BLOCK - 1]).all()
+        assert np.isnan(whole[2][31]).all()
         for i in range(r):
             for got, single in zip(whole, _fourth_moments(batch[i : i + 1])):
                 np.testing.assert_array_equal(got[i], single[0])
