@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
 from .core import RngStream, TimeSeriesSample
@@ -143,14 +142,42 @@ def sample_frailty(family: ArchimedeanFamily, gen: np.random.Generator,
 
 
 def ar1_filter(eta: np.ndarray, a: float, n_drop: int) -> np.ndarray:
-    """Run y(n) = a*y(n-1) + eta(n) with y(0) = eta(0), drop the first
-    n_drop values of the output. Works on 1-d input or row-wise on 2-d."""
-    if not abs(a) < 1.0:
-        raise ValueError(f"AR(1) with |a| >= 1 is nonstationary (a={a})")
-    eta = np.asarray(eta, dtype=np.float64)
-    if eta.shape[-1] <= n_drop:
-        raise ValueError("input shorter than n_drop")
-    y = lfilter([1.0], [1.0, -a], eta, axis=-1)
+    """Run y(n) = a*y(n-1) + eta(n) with y(0) = eta(0) along the last axis
+    of ``eta``, which needs at least one axis, and drop the first n_drop
+    values of the output.
+
+    Each row runs as a Python float loop in the form of
+    ``scipy.signal.lfilter([1], [1, -a], eta)``: two roundings per step, in
+    the same order, so the output has its bytes for finite input. The term
+    0*eta(n-1) of lfilter's state only fixes the sign of an exact zero.
+    """
+    if isinstance(n_drop, bool) or not isinstance(n_drop, (int, np.integer)):
+        raise ValueError(f"n_drop must be an integer, got {n_drop!r}")
+    if n_drop < 0:
+        raise ValueError(f"n_drop must be >= 0, got {n_drop}")
+    if np.iscomplexobj(a) or not abs(a) < 1.0:
+        raise ValueError(f"AR(1) coefficient a must be real with |a| < 1, got {a}")
+    eta = np.asarray(eta)
+    if np.iscomplexobj(eta):
+        raise ValueError("eta must be real, got complex input")
+    if eta.ndim == 0:
+        raise ValueError("eta must have at least one axis, got a 0-d array")
+    eta = np.ascontiguousarray(eta, dtype=np.float64)
+    length = eta.shape[-1]
+    if length <= n_drop:
+        raise ValueError(f"eta has {length} values along its last axis, "
+                         f"not more than n_drop={n_drop}")
+    a = float(a)
+    y = np.empty(eta.shape)
+    # memoryviews hand out and take Python floats one at a time, so the loop
+    # needs no memory beyond the output.
+    for row, out in zip(eta.reshape(-1, length), y.reshape(-1, length)):
+        out = memoryview(out)
+        x_prev = y_n = 0.0
+        for n, x in enumerate(memoryview(row)):
+            y_n = x_prev * 0.0 + a * y_n + x
+            x_prev = x
+            out[n] = y_n
     return y[..., n_drop:]
 
 

@@ -5,9 +5,11 @@ The protocol per realization: draw one copula sample, project it M times
 (random directions for bivariate data, random planes for trivariate data,
 random in-plane rotations for the bivariate joint test), run each requested
 test on each projection, and report rejection counts per significance
-level. The projected data are never formed. The sample is reduced once to
-its covariance and whitened fourth-moment matrix, and every projection's
-statistic is a contraction of these (``kurtosis._fourth_moments`` and
+level. The M bases come from one batched sampler call, with the values of
+M scalar draws from the angle stream (``_draw_bases``). The projected data
+are never formed. The sample is reduced once to its covariance and
+whitened fourth-moment matrix, and every projection's statistic is a
+contraction of these (``kurtosis._fourth_moments`` and
 ``kurtosis._projected_kurtosis``, after Mardia 1970).
 
 The source covariance sequence S(tau) is estimated once per realization,
@@ -101,13 +103,14 @@ _TABLE_SETUPS = {
 }
 
 
-# (source_dim, projection_dim) -> draw of one (projection_dim, source_dim)
-# basis: a line, a plane, or an in-plane rotation. The samplers are looked up
-# at draw time, so wrappers put on this module's names take effect.
+# (source_dim, projection_dim) -> draw of M (projection_dim, source_dim)
+# bases in one sampler call: lines, planes, or in-plane rotations. The
+# samplers are looked up at draw time, so wrappers put on this module's names
+# take effect.
 _SETUPS = {
-    (2, 1): lambda gen: sample_direction(gen).vector()[None, :],
-    (3, 2): lambda gen: sample_plane(gen).basis(),
-    (2, 2): lambda gen: rotation_matrix(sample_rotation(gen)),
+    (2, 1): lambda gen, m: sample_direction(gen, m).vector()[:, None, :],
+    (3, 2): lambda gen, m: sample_plane(gen, m).basis(),
+    (2, 2): lambda gen, m: rotation_matrix(sample_rotation(gen, m)),
 }
 
 # Config fields whose key in the dict form differs from the field name.
@@ -312,9 +315,9 @@ class RejectionRateReport:
 
 
 def _draw_bases(cfg: ExperimentConfig, gen: np.random.Generator) -> np.ndarray:
-    """M projection matrices, shape (M, projection_dim, source_dim)."""
-    draw = _SETUPS[(cfg.source_dim, cfg.projection_dim)]
-    return np.array([draw(gen) for _ in range(cfg.m)])
+    """M projection matrices, shape (M, projection_dim, source_dim), drawn
+    in one batched sampler call with the values of M scalar draws."""
+    return _SETUPS[(cfg.source_dim, cfg.projection_dim)](gen, cfg.m)
 
 
 def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):

@@ -23,6 +23,7 @@ null alike.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import astuple, dataclass
 
@@ -123,6 +124,19 @@ def _empty_moments(r: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.empty((r, p, p)), np.empty((r, p, p)), np.empty((r, d, d))
 
 
+@functools.cache
+def _pairs(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair coordinates of a symmetric p x p matrix: the row and column of
+    each of its d = p(p+1)/2 distinct entries, i <= j in ``np.triu_indices``
+    order, and the weight of each in a contraction, 1 on the diagonal and 2
+    off it. Computed once per p and read-only."""
+    rows, cols = np.triu_indices(p)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    for a in (rows, cols, weights):
+        a.flags.writeable = False
+    return rows, cols, weights
+
+
 def _eigen_factor(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(Q, scale)`` of symmetric matrices S (..., p, p) = Q Lambda Q^T, with
     scale = Lambda^{1/2} and each eigenvalue raised to eps * lambda_max, so
@@ -137,7 +151,7 @@ def _reduce_block(batch: np.ndarray, s: np.ndarray, whiten: np.ndarray,
     """Write the :func:`_fourth_moments` of a block of samples, shape
     (B, p, N), into its three outputs, each with B rows."""
     _, p, n = batch.shape
-    rows, cols = np.triu_indices(p)
+    rows, cols, _ = _pairs(p)
     x = batch - batch.mean(axis=2, keepdims=True)
     _unit_scale(x, out=x)
     s[...] = x @ x.transpose(0, 2, 1) / n
@@ -196,12 +210,12 @@ def _projected_kurtosis(bases: np.ndarray,
     number is at least ``_MAX_CONDITION``, and where it overflows.
     """
     s, whiten, m4 = moments
-    rows, cols = np.triu_indices(s.shape[-1])
+    rows, cols, weights = _pairs(s.shape[-1])
     u = bases[:, None]
     lam, q = np.linalg.eigh(u @ s @ u.swapaxes(-1, -2))
     ok = (lam[..., 0] >= np.finfo(float).tiny) & (lam[..., -1] / _MAX_CONDITION < lam[..., 0])
     g = (q.swapaxes(-1, -2) @ (u @ whiten)) / np.sqrt(lam)[..., None]
-    c = (g.swapaxes(-1, -2) @ g)[..., rows, cols] * np.where(rows == cols, 1.0, 2.0)
+    c = (g.swapaxes(-1, -2) @ g)[..., rows, cols] * weights
     values = np.sum((c[..., None, :] @ m4)[..., 0, :] * c, axis=-1)
     values[~(ok & np.isfinite(values))] = np.nan
     return values
@@ -284,13 +298,13 @@ def _scalar_lag_sums(u: np.ndarray, lags: np.ndarray, n: int) -> tuple[np.ndarra
         return np.full((2, m), np.nan)
     sym = (lags + lags.swapaxes(1, 2)) / 2
     q, scale = _eigen_factor(sym[0])
-    rows, cols = np.triu_indices(p)
+    rows, cols, weights = _pairs(p)
     b = ((q.T @ sym @ q) / np.outer(scale, scale))[:, rows, cols]
-    weight = (n - np.arange(1, len(b)))[:, None]
+    lag_weight = (n - np.arange(1, len(b)))[:, None]
     bb = (b[1:, :, None] * b[1:, None, :]).reshape(-1, rows.size**2)
-    g2, g4 = (weight * b[1:]).T @ b[1:], (weight * bb).T @ bb
+    g2, g4 = (lag_weight * b[1:]).T @ b[1:], (lag_weight * bb).T @ bb
     v = (u @ q) * scale
-    c = v[:, rows] * v[:, cols] * np.where(rows == cols, 1.0, 2.0)
+    c = v[:, rows] * v[:, cols] * weights
     c /= np.where(ok, c @ b[0], np.nan)[:, None]
     quadratic = np.sum((c @ g2) * c, axis=1)
     cc = (c[:, :, None] * c[:, None, :]).reshape(m, rows.size**2)

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.signal import lfilter
 
 from depnorm.kurtosis import _MAX_CONDITION
 
@@ -22,6 +23,12 @@ def direct_kurtosis(batch):
             q = np.sum(x * np.linalg.solve(s, x), axis=0)
             values[r], ok[r] = np.mean(q**2), True
     return values, ok
+
+
+def lfilter_ar1(eta, a, n_drop):
+    """AR(1) recurrence y(n) = a*y(n-1) + eta(n) along the last axis of
+    ``eta`` by ``scipy.signal.lfilter``, first ``n_drop`` outputs dropped."""
+    return lfilter([1.0], [1.0, -a], eta, axis=-1)[..., n_drop:]
 
 
 def direct_scalar_lags(x, bases, max_lag):

@@ -257,6 +257,16 @@ class TestParsing:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
+    def test_import_leaves_out_scipy_signal_and_stats(self):
+        # the two cost about half a second and 50 MB at import
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, depnorm; "
+                "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_package_entry_point(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}

@@ -14,6 +14,8 @@ from depnorm import (
     sample_frailty,
 )
 
+from reference import lfilter_ar1
+
 GUMBEL5 = ArchimedeanFamily.gumbel(5.0)
 CLAYTON2 = ArchimedeanFamily.clayton(2.0)
 
@@ -138,6 +140,49 @@ class TestAr1Filter:
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
             ar1_filter(np.zeros(10), 0.5, 10)
+
+    @pytest.mark.parametrize("shape", [(300,), (3, 300), (2, 3, 40)])
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.5, 0.8, -0.8, 0.95, 0.99])
+    @pytest.mark.parametrize("n_drop", [0, 17])
+    def test_bytes_match_lfilter(self, shape, a, n_drop):
+        eta = RngStream(71).generator().standard_normal(shape)
+        out = ar1_filter(eta, a, n_drop)
+        ref = lfilter_ar1(eta, a, n_drop)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, 0.5, -0.5])
+    def test_signed_zeros_match_lfilter(self, a):
+        eta = np.array([-0.0, 0.0, -0.0, 1.0, -0.0, -1.0, 0.0, 5e-324, -5e-324, -0.0])
+        assert ar1_filter(eta, a, 0).tobytes() == lfilter_ar1(eta, a, 0).tobytes()
+
+    def test_wide_dynamic_range_matches_lfilter(self):
+        gen = RngStream(73).generator()
+        eta = gen.standard_normal((4, 200)) * 10.0 ** gen.integers(-300, 300, (4, 1))
+        assert ar1_filter(eta, 0.9, 5).tobytes() == lfilter_ar1(eta, 0.9, 5).tobytes()
+
+    def test_strided_and_byte_swapped_input_match_lfilter(self):
+        eta = RngStream(74).generator().standard_normal((60, 4))
+        for view in (eta.T, eta[::2, ::3].T, eta.T.astype(">f8"), eta.T.astype(np.float32)):
+            assert ar1_filter(view, 0.7, 3).tobytes() == lfilter_ar1(view, 0.7, 3).tobytes()
+
+    @pytest.mark.parametrize("n_drop", [-1, 2.0, 2.5, "3", True, None])
+    def test_bad_n_drop_rejected(self, n_drop):
+        with pytest.raises(ValueError, match="n_drop"):
+            ar1_filter(np.ones(5), 0.5, n_drop)
+
+    def test_numpy_integer_n_drop(self):
+        eta = np.arange(5.0)
+        np.testing.assert_array_equal(ar1_filter(eta, 0.0, np.int64(2)), eta[2:])
+
+    @pytest.mark.parametrize("eta", [np.float64(1.0), 1.0, np.ones(5) + 1j, [1j, 2, 3]])
+    def test_bad_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            ar1_filter(eta, 0.5, 0)
+
+    def test_complex_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="coefficient"):
+            ar1_filter(np.ones(5), 0.5j, 0)
 
 
 class TestGenerate:

@@ -30,7 +30,7 @@ from depnorm import (
     two_sided_p_value,
 )
 from depnorm.copula import ar1_filter
-from depnorm.kurtosis import (KurtosisValue, _fourth_moments, _null_moments,
+from depnorm.kurtosis import (KurtosisValue, _fourth_moments, _null_moments, _pairs,
                               _projected_kurtosis)
 from depnorm.projection import rotation_matrix, sample_direction, sample_plane, sample_rotation
 from reference import direct_colored1_moments, direct_kurtosis
@@ -185,6 +185,20 @@ class TestProjectedKurtosis:
         for i in range(r):
             for got, single in zip(whole, _fourth_moments(batch[i : i + 1])):
                 np.testing.assert_array_equal(got[i], single[0])
+
+
+class TestPairs:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_cached_read_only_pair_coordinates(self, p):
+        rows, cols, weights = _pairs(p)
+        ref_rows, ref_cols = np.triu_indices(p)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(cols, ref_cols)
+        np.testing.assert_array_equal(weights, np.where(ref_rows == ref_cols, 1.0, 2.0))
+        assert all(_pairs(p)[k] is a for k, a in enumerate((rows, cols, weights)))
+        for a in (rows, cols, weights):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestIidNullMoments:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,3 +109,58 @@ class TestEnergyBound:
         for _ in range(50):
             y = sample_direction(gen).vector() @ x.data
             assert y.var() <= lam_max + 1e-10
+
+
+class TestBatchedDraws:
+    """``size`` draws every angle from the stream in scalar-call order, and
+    the bases broadcast over the angles with the basis axes last."""
+
+    @staticmethod
+    def _same(batched, looped):
+        looped = np.asarray(looped)
+        assert batched.shape == looped.shape
+        assert batched.tobytes() == looped.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 17, 500])
+    def test_directions(self, size):
+        gen = RngStream(15).generator()
+        looped = [sample_direction(gen) for _ in range(size)]
+        batched = sample_direction(RngStream(15).generator(), size)
+        self._same(batched.phi, [d.phi for d in looped])
+        self._same(batched.vector(), [d.vector() for d in looped])
+
+    @pytest.mark.parametrize("size", [1, 2, 17, 500])
+    def test_planes(self, size):
+        # The oracle is the scalar protocol: theta, then phi, one plane at a
+        # time, and the basis written out element by element.
+        gen = RngStream(16).generator()
+        angles = [(gen.uniform(-np.pi / 2, np.pi / 2), gen.uniform(0.0, np.pi))
+                  for _ in range(size)]
+        bases = [[[np.cos(phi), np.sin(phi), 0.0],
+                  [-np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), np.cos(theta)]]
+                 for theta, phi in angles]
+        batched = sample_plane(RngStream(16).generator(), size)
+        self._same(batched.theta, [theta for theta, _ in angles])
+        self._same(batched.phi, [phi for _, phi in angles])
+        self._same(batched.basis(), bases)
+
+    @pytest.mark.parametrize("size", [1, 2, 17, 500])
+    def test_rotations(self, size):
+        gen = RngStream(17).generator()
+        looped = [sample_rotation(gen) for _ in range(size)]
+        batched = sample_rotation(RngStream(17).generator(), size)
+        self._same(batched, looped)
+        self._same(rotation_matrix(batched), [rotation_matrix(phi) for phi in looped])
+
+    def test_stream_continues_after_a_batch(self):
+        gen, ref = RngStream(18).generator(), RngStream(18).generator()
+        sample_plane(gen, 7)
+        for _ in range(7):
+            sample_plane(ref)
+        assert sample_plane(gen) == sample_plane(ref)
+
+    def test_scalar_shapes(self):
+        gen = RngStream(19).generator()
+        assert sample_direction(gen).vector().shape == (2,)
+        assert sample_plane(gen).basis().shape == (2, 3)
+        assert rotation_matrix(sample_rotation(gen)).shape == (2, 2)
