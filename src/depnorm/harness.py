@@ -9,8 +9,12 @@ level. The M bases come from one batched sampler call, with the values of
 M scalar draws from the angle stream (``_draw_bases``). The projected data
 are never formed. The sample is reduced once to its covariance and
 whitened fourth-moment matrix, and every projection's statistic is a
-contraction of these (``kurtosis._fourth_moments`` and
-``kurtosis._projected_kurtosis``, after Mardia 1970).
+contraction of these against the closed-form projector of its basis
+(``kurtosis._fourth_moments`` and ``kurtosis._projected_kurtosis``, after
+Mardia 1970): v v^T / |v|^2 for a line, I - n n^T / |n|^2 for a plane with
+whitened normal n, and the identity for a 2->2 rotation. So every rotation
+of a realization gets the same statistic, the same calibrated null and the
+same p-value.
 
 The source covariance sequence S(tau) is estimated once per realization,
 and ``kurtosis._null_moments`` gives the null of every projection from it,
@@ -169,8 +173,10 @@ class ExperimentConfig:
     """Full description of one rejection-rate study.
 
     ``source_dim == projection_dim == 2`` means random in-plane rotations of
-    the bivariate data (two scalar projections onto orthogonal axes) rather
-    than a dimension-reducing projection.
+    the bivariate data, each tested by the joint B_2 of the rotated pair,
+    rather than a dimension-reducing projection. B_2 is affine-invariant, so
+    every rotation of a realization gives the same statistic, null and
+    decision.
     """
 
     family: ArchimedeanFamily

@@ -13,6 +13,14 @@ differ in the null moments used to standardize it:
 * ``COLORED_BIVARIATE``: Monte Carlo calibration against a Gaussian
   process matched to the estimated covariance sequence (p = 2).
 
+The statistic of every projection U x of a sample is a contraction of one
+reduction of the sample, its whitened fourth moments
+(:func:`_fourth_moments`), against the pair coordinates of the projector
+onto U's row space in whitened coordinates (:func:`_projected_kurtosis`).
+That projector has a closed form for each basis shape in use: a line, a
+plane of a 3-D source, and a full-rank basis, whose projector is the
+identity, so B_p is the same for every rotation of a sample (Mardia 1970).
+
 :func:`_null_moments` is the one place that computes each kind's null, for
 every projection U x of a sample at once; :func:`run_test` is its
 identity-basis case, and the study harness passes its M projections. NaN
@@ -98,9 +106,10 @@ class KurtosisValue:
             raise ValueError(f"kurtosis {self.value} below the lower bound p={self.p}")
 
 
-# A zero, overflowing or singular S gives NaN or inf in _reduce_block and
-# _projected_kurtosis, which the latter turns into NaN values, so their
-# warnings are noise. Kept as a decorator, because the threads of
+# A zero, overflowing or singular S gives NaN or inf in _reduce_block, and
+# in _projected_kurtosis's closed forms (a zero |v|^2 or eigenvalue of L L^T
+# divides, a NaN moment compares), which the latter turns into NaN values,
+# so their warnings are noise. Kept as a decorator, because the threads of
 # calibrate._run_tasks run these kernels at once: numpy >= 2 holds the
 # decorator's context token per call (a second thread entering a shared
 # ``with _QUIET:`` raises TypeError), and numpy 1.x keeps the error state per
@@ -191,6 +200,22 @@ def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return moments
 
 
+def _times_factor(x: np.ndarray, whiten: np.ndarray) -> list[np.ndarray]:
+    """The components of x L for each row vector x of ``x`` (M, p) and each
+    factor L of ``whiten`` (R, p, p): p arrays (M, R), each summed over i in
+    order, so that an entry does not depend on M or R."""
+    p = x.shape[1]
+    return [sum(x[:, i, None] * whiten[:, i, j] for i in range(p)) for j in range(p)]
+
+
+def _contract(c: list, m4: np.ndarray) -> np.ndarray:
+    """c^T M4 c for the d pair coordinates c of a projector, numbers or
+    arrays (..., R), and the pair-coordinate M4 (R, d, d): the d(d+1)/2
+    distinct products c_a c_b M4_ab, doubled off the diagonal, summed in
+    order, so that an entry does not depend on the shape of the batch."""
+    return sum(c[a] * c[b] * (w * m4[:, a, b]) for a, b, w in zip(*_pairs(len(c))))
+
+
 @_QUIET
 def _projected_kurtosis(bases: np.ndarray,
                         moments: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -198,26 +223,74 @@ def _projected_kurtosis(bases: np.ndarray,
     """Statistic of every projection U x of every sample, shape (M, R), from
     the ``moments`` of :func:`_fourth_moments`.
 
-    ``bases`` holds the M projection matrices U, shape (M, k, p). With
-    q(n) = x(n)^T U^T (U S U^T)^{-1} U x(n) = y(n)^T P y(n) and
-    P = (UL)^T (U S U^T)^{-1} (UL), the statistic is the contraction
-    c^T M4 c, where c holds the pair coordinates of P: P_ij for i <= j in
-    ``np.triu_indices`` order, doubled off the diagonal (P is symmetric).
-    One eigendecomposition U S U^T = Q Lambda Q^T gives both the degeneracy
-    rule and P = G^T G with G = Lambda^{-1/2} Q^T (UL).
-    A value is NaN where U S U^T is numerically singular, that is where its
-    smallest eigenvalue is not a positive normal float or its condition
-    number is at least ``_MAX_CONDITION``, and where it overflows.
+    ``bases`` holds the M projection matrices U, shape (M, k, p). In the
+    whitened coordinates y = L^{-1} x, q(n) = y(n)^T P y(n) with P the
+    orthogonal projector onto the row space of V = UL, and the statistic is
+    the contraction c^T M4 c, where c holds the pair coordinates of P: P_ij
+    for i <= j in ``np.triu_indices`` order, doubled off the diagonal. P has
+    a closed form for every supported shape (k, p), so no matrix is
+    decomposed per projection and replicate:
+
+    * k = 1, lines in any p: P = v v^T / |v|^2 with v = uL;
+    * k = 2, p = 3, planes: P = I - n n^T / |n|^2 with n the whitened normal
+      v_1 x v_2, parallel to L^{-1} (u_1 x u_2), computed as such;
+    * k = p, full rank (the identity and the rotations): P = I, so the
+      statistic is the sum of M4's diagonal-pair block, the same for every
+      basis.
+
+    Any other (k, p) raises ``ValueError``. A value is NaN where U S U^T is
+    numerically singular, that is where its smallest eigenvalue is not a
+    positive normal float or its condition number is at least
+    ``_MAX_CONDITION``, and where it is not finite. The trace of U S U^T is a
+    pair-coordinate sum of S; at k = 2 its determinant is |v_1 x v_2|^2 =
+    det(L)^2 |L^{-1} (u_1 x u_2)|^2 (the Lagrange identity; det(U)^2 det(L)^2
+    at p = 2), a sum of squares that does not cancel, and the two
+    eigenvalues follow from the trace and the determinant. L's floor (see
+    :func:`_fourth_moments`) leaves a numerically singular U S U^T singular.
+    Only at k = p >= 3, which no study reaches, is U S U^T decomposed
+    (``eigvalsh``), once per basis and sample.
+
+    Every entry is computed elementwise, so it does not depend on how many
+    bases or samples share the call.
     """
     s, whiten, m4 = moments
-    rows, cols, weights = _pairs(s.shape[-1])
-    u = bases[:, None]
-    lam, q = np.linalg.eigh(u @ s @ u.swapaxes(-1, -2))
-    ok = (lam[..., 0] >= np.finfo(float).tiny) & (lam[..., -1] / _MAX_CONDITION < lam[..., 0])
-    g = (q.swapaxes(-1, -2) @ (u @ whiten)) / np.sqrt(lam)[..., None]
-    c = (g.swapaxes(-1, -2) @ g)[..., rows, cols] * weights
-    values = np.sum((c[..., None, :] @ m4)[..., 0, :] * c, axis=-1)
-    values[~(ok & np.isfinite(values))] = np.nan
+    m, k, p = bases.shape
+    rows, cols, weights = _pairs(p)
+    eye = [float(i == j) for i, j in zip(rows, cols)]
+    # tr(U S U^T) = sum of (U^T U)_ij S_ij, (M, R)
+    trace = sum(sum(bases[:, i, a, None] * bases[:, i, b, None] for i in range(k))
+                * (w * s[:, a, b]) for a, b, w in zip(rows, cols, weights))
+    # the eigenvalues of L L^T, whose eigenvectors are L's columns
+    lam = [sum(whiten[:, i, j] ** 2 for i in range(p)) for j in range(p)]
+    if k == 1:
+        v = _times_factor(bases[:, 0], whiten)
+        vv = sum(x * x for x in v)
+        c = [v[i] * v[j] * w / vv for i, j, w in zip(rows, cols, weights)]
+        low = high = trace
+    elif (k, p) == (2, 3):
+        normal = _times_factor(np.cross(bases[:, 0], bases[:, 1]), whiten)
+        n = [x / lam_j for x, lam_j in zip(normal, lam)]
+        nn = sum(x * x for x in n)
+        c = [e - n[i] * n[j] * w / nn for e, i, j, w in zip(eye, rows, cols, weights)]
+        det = lam[0] * lam[1] * lam[2] * nn
+    elif k == p:
+        c = eye
+        if p == 2:
+            minor = bases[:, 0, 0] * bases[:, 1, 1] - bases[:, 0, 1] * bases[:, 1, 0]
+            det = minor[:, None] ** 2 * (lam[0] * lam[1])
+        else:
+            u = bases[:, None]
+            gram = np.linalg.eigvalsh(u @ s @ u.swapaxes(-1, -2))
+            low, high = gram[..., 0], gram[..., -1]
+    else:
+        raise ValueError(f"projection bases must be lines (k=1), planes of a 3-D source "
+                         f"(k=2, p=3) or full rank (k=p); got k={k}, p={p}")
+    if k == 2:
+        high = trace / 2 + np.sqrt(np.maximum(trace**2 / 4 - det, 0.0))
+        low = det / high
+    values = np.broadcast_to(_contract(c, m4), (m, len(m4))).copy()
+    ok = (low >= np.finfo(float).tiny) & (high / _MAX_CONDITION < low) & np.isfinite(values)
+    values[~ok] = np.nan
     return values
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.signal import lfilter
 
-from depnorm.kurtosis import _MAX_CONDITION
+from depnorm.kurtosis import _MAX_CONDITION, _pairs
 
 
 def direct_kurtosis(batch):
@@ -23,6 +23,26 @@ def direct_kurtosis(batch):
             q = np.sum(x * np.linalg.solve(s, x), axis=0)
             values[r], ok[r] = np.mean(q**2), True
     return values, ok
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def eigh_projected_kurtosis(bases, moments):
+    """``kurtosis._projected_kurtosis`` by the general contraction: one
+    eigendecomposition U S U^T = Q Lambda Q^T per projection and sample
+    gives the degeneracy rule and P = G^T G with G = Lambda^{-1/2} Q^T (UL),
+    for any basis shape (M, k, p). NaN where U S U^T's smallest eigenvalue
+    is not a positive normal float or its condition number is at least
+    ``_MAX_CONDITION``, and where the value overflows."""
+    s, whiten, m4 = moments
+    rows, cols, weights = _pairs(s.shape[-1])
+    u = bases[:, None]
+    lam, q = np.linalg.eigh(u @ s @ u.swapaxes(-1, -2))
+    ok = (lam[..., 0] >= np.finfo(float).tiny) & (lam[..., -1] / _MAX_CONDITION < lam[..., 0])
+    g = (q.swapaxes(-1, -2) @ (u @ whiten)) / np.sqrt(lam)[..., None]
+    c = (g.swapaxes(-1, -2) @ g)[..., rows, cols] * weights
+    values = np.sum((c[..., None, :] @ m4)[..., 0, :] * c, axis=-1)
+    values[~(ok & np.isfinite(values))] = np.nan
+    return values
 
 
 def lfilter_ar1(eta, a, n_drop):

@@ -61,18 +61,18 @@ _PINNED = {
                '0x1.6bbb84245b0f0p-6', '0x1.eb8ad9c2f69c5p-7'),
     (1, 2000): ('0x1.77eca2f52775ep+1', '0x1.0a9a20a9a12a8p-3',
                 '0x1.085d1713a71b8p-7', '0x1.a454287e16aa5p-8'),
-    (2, 100): ('0x1.f1ebf183496e3p+2', '0x1.3a711ff2c624ap-2',
-               '0x1.c5f3c63cd1833p-5', '0x1.63806de1dfdaep-5'),
-    (2, 257): ('0x1.fcb48e0f9e264p+2', '0x1.709155c49520ap-2',
-               '0x1.32925a4f6d735p-5', '0x1.c11a1ed00a0c4p-6'),
-    (2, 2000): ('0x1.f5f238be3eecdp+2', '0x1.4a5fb9b1d4ff4p-2',
-                '0x1.a02fb53c0280dp-7', '0x1.91ad9aecdf137p-7'),
-    (3, 100): ('0x1.d5c4ec7d893d6p+3', '0x1.d4290bdd6c0b8p-2',
-               '0x1.14f42a255a5d0p-4', '0x1.267c693fea8cap-4'),
-    (3, 257): ('0x1.d75190b257ba0p+3', '0x1.48c7f073b2c72p-1',
-               '0x1.997d11d0bb7efp-5', '0x1.3bfd61dd42c9bp-4'),
-    (3, 2000): ('0x1.d5f0f459543a4p+3', '0x1.3075e3663f12fp-1',
-                '0x1.1a82d432eeb80p-6', '0x1.54ca313474fbap-6'),
+    (2, 100): ('0x1.f1ebf183496e1p+2', '0x1.3a711ff2c6245p-2',
+               '0x1.c5f3c63cd1830p-5', '0x1.63806de1dfdbbp-5'),
+    (2, 257): ('0x1.fcb48e0f9e263p+2', '0x1.709155c495210p-2',
+               '0x1.32925a4f6d738p-5', '0x1.c11a1ed00a0d6p-6'),
+    (2, 2000): ('0x1.f5f238be3eecdp+2', '0x1.4a5fb9b1d4ff2p-2',
+                '0x1.a02fb53c0280bp-7', '0x1.91ad9aecdf12ep-7'),
+    (3, 100): ('0x1.d5c4ec7d893d6p+3', '0x1.d4290bdd6c088p-2',
+               '0x1.14f42a255a5c2p-4', '0x1.267c693fea899p-4'),
+    (3, 257): ('0x1.d75190b257b9ep+3', '0x1.48c7f073b2c6fp-1',
+               '0x1.997d11d0bb7edp-5', '0x1.3bfd61dd42c7ep-4'),
+    (3, 2000): ('0x1.d5f0f459543a3p+3', '0x1.3075e3663f129p-1',
+                '0x1.1a82d432eeb7dp-6', '0x1.54ca313474fb6p-6'),
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import hadamard
 
 from depnorm import (
     ArchimedeanFamily,
@@ -32,8 +33,9 @@ from depnorm import (
 from depnorm.copula import ar1_filter
 from depnorm.kurtosis import (KurtosisValue, _fourth_moments, _null_moments, _pairs,
                               _projected_kurtosis)
-from depnorm.projection import rotation_matrix, sample_direction, sample_plane, sample_rotation
-from reference import direct_colored1_moments, direct_kurtosis
+from depnorm.projection import (Direction1D, Plane2D, rotation_matrix, sample_direction,
+                                sample_plane, sample_rotation)
+from reference import direct_colored1_moments, direct_kurtosis, eigh_projected_kurtosis
 
 
 def _scalar_cov(ratios, s0=1.0):
@@ -185,6 +187,110 @@ class TestProjectedKurtosis:
         for i in range(r):
             for got, single in zip(whole, _fourth_moments(batch[i : i + 1])):
                 np.testing.assert_array_equal(got[i], single[0])
+
+
+# A batch of bases from angle arrays, one basis per angle, for each
+# closed-form shape of _projected_kurtosis, keyed by (kind, source dim).
+_SHAPES = {
+    ("line", 2): lambda a, b: Direction1D(a).vector()[:, None, :],
+    ("plane", 3): lambda a, b: Plane2D(a / 2, b).basis(),
+    ("rotation", 2): lambda a, b: rotation_matrix(a),
+    **{("identity", p): (lambda a, b, p=p: np.eye(p)[None]) for p in (1, 2, 3, 4)},
+}
+
+
+def _oracle_rtol(cond):
+    """Agreement of the closed forms with ``eigh_projected_kurtosis`` on
+    samples whose covariance has condition number ``cond``: the oracle forms
+    and inverts U S U^T, so its projector rounds at about eps times that
+    matrix's condition number, which the closed forms never form."""
+    return 1e-12 + 16 * np.finfo(float).eps * cond
+
+
+class TestClosedFormProjector:
+    """The closed-form projectors of _projected_kurtosis against the general
+    eigh contraction, on the same moments."""
+
+    def _check(self, bases, batch, rtol):
+        moments = _fourth_moments(batch)
+        got = _projected_kurtosis(bases, moments)
+        want = eigh_projected_kurtosis(bases, moments)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=rtol)
+        return ~np.isnan(got)
+
+    @pytest.mark.parametrize("kind, p", sorted(_SHAPES))
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e10])
+    def test_matches_the_eigh_contraction(self, kind, p, cond):
+        gen = RngStream(37).generator()
+        bases = _SHAPES[kind, p](*gen.uniform(-np.pi, np.pi, size=(2, 8)))
+        assert self._check(bases, _mixed_batch(gen, p, cond, r=16), _oracle_rtol(cond)).all()
+
+    def test_degenerate_samples(self):
+        # collinear, constant and well-mixed samples; of the planes, the last
+        # three contain the null direction of the collinear 3-D sample
+        gen = RngStream(39).generator()
+        z = gen.standard_normal((2, 400))
+        batch = np.stack([np.vstack([z, z.sum(axis=0)]), np.full((3, 400), 0.3),
+                          _mixed_batch(gen, 3, 10.0, r=1)[0]])
+        null_dir = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0)
+        planes = list(sample_plane(gen, 5).basis())
+        for w in gen.standard_normal((3, 3)):
+            w -= (w @ null_dir) * null_dir
+            planes.append(np.array([null_dir, w / np.linalg.norm(w)]))
+        ok = self._check(np.array(planes), batch, 1e-12)
+        np.testing.assert_array_equal(ok[:, 0], [True] * 5 + [False] * 3)
+        assert not ok[:, 1].any() and ok[:, 2].all()
+        ok = self._check(np.eye(3)[None], batch, 1e-12)
+        np.testing.assert_array_equal(ok[0], [False, False, True])
+        # 2-D: every line of a collinear sample passes, no rotation does
+        batch = np.stack([np.vstack([z[0], 2 * z[0]]), np.full((2, 400), -7.0),
+                          _mixed_batch(gen, 2, 10.0, r=1)[0]])
+        lines = sample_direction(gen, 6).vector()[:, None, :]
+        ok = self._check(lines, batch, 1e-12)
+        assert ok[:, 0].all() and not ok[:, 1].any() and ok[:, 2].all()
+        ok = self._check(rotation_matrix(sample_rotation(gen, 6)), batch, 1e-12)
+        assert not ok[:, :2].any() and ok[:, 2].all()
+        ok = self._check(np.eye(1)[None], np.full((1, 1, 50), 2.5), 1e-12)
+        assert not ok.any()
+
+    @pytest.mark.parametrize("cond, valid", [(5e11, True), (2e12, False)])
+    def test_condition_threshold(self, cond, valid):
+        # mutually orthogonal centered +-1 rows scaled so that S is exactly
+        # diagonal: the bases that keep channels 1 and 2 see condition number
+        # cond, a factor of 2 either side of _MAX_CONDITION, and the others
+        # see at most 4
+        rows = np.tile(hadamard(8)[1:4], 4) * np.array([[1.0], [cond**-0.5], [0.5]])
+        angles = RngStream(41).generator().uniform(0.0, np.pi, size=5)
+        in_plane = rotation_matrix(angles)
+        for bases, batch, expected in [
+            (np.eye(2)[None], rows[:2], [valid]),
+            (in_plane, rows[:2], [valid] * 5),
+            (sample_direction(RngStream(42).generator(), 5).vector()[:, None, :], rows[:2],
+             [True] * 5),
+            (np.eye(3)[None], rows, [valid]),
+            (np.concatenate([in_plane @ np.eye(3)[:2], in_plane @ np.eye(3)[[0, 2]]]), rows,
+             [valid] * 5 + [True] * 5),
+        ]:
+            ok = self._check(bases, batch[None], _oracle_rtol(cond))
+            np.testing.assert_array_equal(ok[:, 0], expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(sorted(_SHAPES)),
+           angles=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+           log_cond=st.floats(0.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_property(self, shape, angles, log_cond, seed):
+        p = shape[1]
+        bases = _SHAPES[shape](*np.array(angles)[:, None])
+        batch = _mixed_batch(RngStream(seed).generator(), p, 10.0**log_cond, r=3, n=60)
+        self._check(bases, batch, _oracle_rtol(10.0**log_cond))
+
+    @pytest.mark.parametrize("k, p", [(2, 4), (3, 4), (2, 1), (0, 2)])
+    def test_unsupported_shape_raises(self, k, p):
+        batch = RngStream(40).generator().standard_normal((2, p, 50))
+        with pytest.raises(ValueError, match=f"got k={k}, p={p}"):
+            _projected_kurtosis(np.ones((3, k, p)), _fourth_moments(batch))
 
 
 class TestPairs:
