@@ -38,7 +38,6 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .core import (
     CalibrationError,
@@ -46,6 +45,7 @@ from .core import (
     DegenerateSampleError,
     RngStream,
     _check_counts,
+    next_fast_len,
 )
 from .kurtosis import (_DEGENERATE_MESSAGE, _check_length, _empty_moments, _projected_kurtosis,
                        _reduce_block)

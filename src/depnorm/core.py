@@ -241,14 +241,27 @@ def resolve_max_lag(max_lag: int | None, n: int) -> int:
     return n - 1 if max_lag is None else min(max_lag, n - 1)
 
 
+# A positive n < 2^64 is 11-smooth exactly when it divides (2*3*5*7*11)^64,
+# since no prime appears in it more than 63 times.
+_SMOOTH = 2310**64
+
+
+def next_fast_len(target: int) -> int:
+    """The smallest 11-smooth integer >= ``target`` >= 1, a length whose FFT
+    factors into radices 2 to 11: ``scipy.fft.next_fast_len(target)``
+    without importing ``scipy.fft``."""
+    n = target
+    while _SMOOTH % n:
+        n += 1
+    return n
+
+
 # An overflowing sample gives inf or NaN lags, which CovarianceSequence
 # rejects, so the floating-point warnings on the way are noise.
 @np.errstate(over="ignore", invalid="ignore")
 def _cross_cov_fft(data: np.ndarray, max_lag: int) -> np.ndarray:
     """Lagged covariances of one or more samples, ``(..., p, N)`` to
     ``(..., max_lag + 1, p, p)``, by one FFT per row."""
-    from scipy.fft import next_fast_len
-
     n = data.shape[-1]
     k = next_fast_len(n + max_lag + 1)
     f = np.fft.rfft(data, k, axis=-1)

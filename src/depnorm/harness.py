@@ -38,6 +38,7 @@ replicate, (R/2, K, p), before the first slab, 11.4 MB of a peak near
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -358,11 +359,12 @@ def run_experiment(cfg: ExperimentConfig) -> RejectionRateReport:
     """
     stream = RngStream(cfg.seed, 0)
     counts, skipped = [], []
+    # interned, so that the count dicts of every report share one key per alpha
+    keys = [(sys.intern(f"{a:g}"), a) for a in cfg.alphas]
     for r in range(cfg.realizations):
         pvalues, valid = _run_realization(cfg, r, stream)
         skipped.append(int(np.sum(~valid)))
-        counts.append({kind.value: {f"{a:g}": int(np.sum(pv[valid] < a))
-                                    for a in cfg.alphas}
+        counts.append({kind.value: {key: int(np.sum(pv[valid] < a)) for key, a in keys}
                        for kind, pv in pvalues.items()})
     return RejectionRateReport(cfg, tuple(counts), tuple(skipped))
 

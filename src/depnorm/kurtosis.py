@@ -326,9 +326,10 @@ def _null_moments(kind: TestKind, bases: np.ndarray, cov: CovarianceSequence | N
       mean = 3 - 6/N - (12/N^2) sum_{tau>=1} (N-tau) s(tau)^2 / s(0)^2 and
       var = (24/N) [1 + (2/N) sum_{tau>=1} (N-tau) s(tau)^4 / s(0)^4];
       asymptotic (o(1/N) dropped), and with an all-zero tail the i.i.d.
-      case up to O(1/N^2) in the mean. The lag sums are contractions of
-      two tensors of the source lags (:func:`_scalar_lag_sums`), so no
-      projection's sequence s(tau) is formed.
+      case up to O(1/N^2) in the mean. The lag sums are quadratic forms,
+      in the pair coordinates of the M lines held as one (d, M) array, of
+      two matrices of the whitened source lags (:func:`_scalar_lag_sums`),
+      so no projection's sequence s(tau) and no (M, L+1) array is formed.
     * ``COLORED_BIVARIATE``: ``calibrate`` maps the Gaussian surrogate of
       ``cov`` to the Monte Carlo moments (closed forms exist only as leading
       terms, 8 - 16/N and 64/N plus lag corrections).
@@ -342,9 +343,10 @@ def _null_moments(kind: TestKind, bases: np.ndarray, cov: CovarianceSequence | N
         from .calibrate import GaussianSurrogate
         return calibrate(GaussianSurrogate(cov, n))
     sum2, sum4 = _scalar_lag_sums(bases[:, 0], cov.lags, n)
-    mean = 3.0 - 6.0 / n - (12.0 / n**2) * sum2
-    var = (24.0 / n) * (1.0 + (2.0 / n) * sum4)
-    return np.stack([mean, var, np.zeros(m), np.zeros(m)])
+    out = np.zeros((4, m))
+    out[0] = 3.0 - 6.0 / n - (12.0 / n**2) * sum2
+    out[1] = (24.0 / n) * (1.0 + (2.0 / n) * sum4)
+    return out
 
 
 def _scalar_lag_sums(u: np.ndarray, lags: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,34 +358,49 @@ def _scalar_lag_sums(u: np.ndarray, lags: np.ndarray, n: int) -> tuple[np.ndarra
     Only the symmetric part of S(tau) enters s(tau). Whitened by the factor
     S(0) = L L^T of :func:`_eigen_factor`, it is W(tau) = L^{-1} S(tau) L^{-T}
     (W(0) = I up to the floor), with d = p(p+1)/2 distinct entries b(tau).
-    For v = uL, r(tau) = b(tau).c / b(0).c, where c holds the coefficients
-    of v v^T (v_i v_j, doubled off the diagonal). So with c normalized to
-    b(0).c = 1, the sums are the quadratic form c^T G2 c and the quartic
-    form of G4 = sum_{tau>=1} (N-tau) b(tau)^{(x)4} in c, with
-    G2 = sum_{tau>=1} (N-tau) b(tau) b(tau)^T: O(T d^4 + M d^4) work, not
-    O(M T). Whitening keeps the terms of the expanded forms of order one
-    however ill-conditioned S(0) is; unwhitened, they grow with its
-    condition number and so does the rounding of the sums.
+    One product whitens every lag: the (d, p^2) map from S(tau) to b(tau),
+    with R = L^{-T} = Q Lambda^{-1/2} folded into it, times the flattened
+    lags, giving b as a (d, T+1) array. For v = uL,
+    r(tau) = b(tau).c / b(0).c, where c holds the coefficients of v v^T
+    (v_i v_j, doubled off the diagonal), kept column-major as a (d, M)
+    array, one column per line. So with c normalized to b(0).c = 1, the
+    sums are the quadratic form c^T G2 c, G2 = sum_{tau>=1} (N-tau)
+    b(tau) b(tau)^T, and the quartic form of
+    G4 = sum_{tau>=1} (N-tau) b(tau)^{(x)4} in c, which is the quadratic
+    form of the (D, D) matrix G4 in the D = d(d+1)/2 pair coordinates cc
+    of c c^T (the same :func:`_pairs` layout one level up). G2 and G4 are
+    the diagonal blocks of one weighted Gram product over tau, and each
+    form is a product G c summed over the leading axis: O(T D^2 + M D^2)
+    work, not O(M T). Whitening keeps the terms of the expanded forms of
+    order one however ill-conditioned S(0) is; unwhitened, they grow with
+    its condition number and so does the rounding of the sums.
     """
     m, p = u.shape
-    ok = np.einsum("mp,pq,mq->m", u, lags[0], u) > 0
+    ut = u.T
+    ok = ((lags[0] @ ut) * ut).sum(axis=0) > 0
     if not ok.any():  # S(0) = 0, say, which has no whitening factor
         return np.full((2, m), np.nan)
-    sym = (lags + lags.swapaxes(1, 2)) / 2
-    q, scale = _eigen_factor(sym[0])
+    q, scale = _eigen_factor((lags[0] + lags[0].T) / 2)
     rows, cols, weights = _pairs(p)
-    b = ((q.T @ sym @ q) / np.outer(scale, scale))[:, rows, cols]
-    lag_weight = (n - np.arange(1, len(b)))[:, None]
-    bb = (b[1:, :, None] * b[1:, None, :]).reshape(-1, rows.size**2)
-    g2, g4 = (lag_weight * b[1:]).T @ b[1:], (lag_weight * bb).T @ bb
-    v = (u @ q) * scale
-    c = v[:, rows] * v[:, cols] * weights
-    c /= np.where(ok, c @ b[0], np.nan)[:, None]
-    quadratic = np.sum((c @ g2) * c, axis=1)
-    cc = (c[:, :, None] * c[:, None, :]).reshape(m, rows.size**2)
-    quartic = cc @ g4
+    d = rows.size
+    rows2, cols2, weights2 = _pairs(d)
+    # b(tau)_k = sum_ab S_ab(tau) (R_ai R_bj + R_aj R_bi) / 2 for pair k = (i, j)
+    r = q / scale
+    pair = r[:, None, rows] * r[None, :, cols]
+    whiten = (pair + pair.transpose(1, 0, 2)) / 2
+    # rows: b(tau), then the pair coordinates of b(tau) b(tau)^T
+    e = np.empty((d + rows2.size, len(lags)))
+    np.matmul(whiten.reshape(p * p, d).T, lags.reshape(-1, p * p).T, out=e[:d])
+    np.multiply(e[rows2], e[cols2], out=e[d:])
+    g = (e[:, 1:] * np.arange(n - 1, n - len(lags), -1)) @ e[:, 1:].T
+    v = (q.T @ ut) * scale[:, None]
+    c = v[rows] * v[cols] * weights[:, None]
+    c /= np.where(ok, e[:d, 0] @ c, np.nan)
+    cc = c[rows2] * c[cols2] * weights2[:, None]
+    quadratic, quartic = g[:d, :d] @ c, g[d:, d:] @ cc
+    quadratic *= c
     quartic *= cc
-    return quadratic, quartic.sum(axis=1)
+    return quadratic.sum(axis=0), quartic.sum(axis=0)
 
 
 def _sample_null(kind: TestKind, p: int, cov: CovarianceSequence | None, n: int,

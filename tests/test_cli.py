@@ -258,10 +258,11 @@ class TestParsing:
         assert out.exists()
 
     def test_import_leaves_out_scipy_signal_and_stats(self):
-        # the two cost about half a second and 50 MB at import
+        # scipy.signal and scipy.stats cost about half a second and 50 MB at
+        # import, scipy.fft about 30 ms and 1.4 MB more
         src = Path(__file__).resolve().parents[1] / "src"
         code = ("import sys, depnorm; "
-                "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
+                "print(sorted({'scipy.fft', 'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr

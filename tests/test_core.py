@@ -23,7 +23,7 @@ from depnorm import (
     write_csv,
 )
 from depnorm.copula import ar1_filter
-from depnorm.core import _cross_cov_fft
+from depnorm.core import _cross_cov_fft, next_fast_len
 
 
 def _brute_cross_cov(data, max_lag):
@@ -128,6 +128,14 @@ class TestCrossCovariance:
             np.testing.assert_allclose(got[i], sample_cross_covariance(x, 40).lags,
                                        rtol=1e-12, atol=1e-14)
             np.testing.assert_array_equal(got[i, 0], sample_covariance(x))
+
+    def test_next_fast_len_matches_scipy(self):
+        # the FFT length of _cross_cov_fft and GaussianSurrogate, so K and
+        # every lag and surrogate draw stay bit for bit what scipy gave
+        from scipy.fft import next_fast_len as scipy_next_fast_len
+
+        targets = range(1, 10**5 + 1)
+        assert [next_fast_len(t) for t in targets] == [scipy_next_fast_len(t) for t in targets]
 
     def test_invalid_lag(self):
         x = TimeSeriesSample([[1.0, 2.0, 3.0]])

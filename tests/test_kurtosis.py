@@ -461,6 +461,7 @@ class TestNullMoments:
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("cond, channel", [(1.0, None), (1e3, None), (1e6, None),
+                                               (1e10, None), (1e12, None),
                                                (1.0, "collinear"), (1.0, "zero"),
                                                (1.0, "all zero")])
     def test_colored1_matches_the_plain_lag_loop(self, p, cond, channel):
