@@ -9,7 +9,7 @@ yields two independent real replicates.
 
 One Monte Carlo estimator, :func:`_replicate_moments`, gives every projection
 the mean and variance of its statistic over the replicates, with standard
-errors, contracting the projections in fixed blocks of ``_BASIS_BLOCK``.
+errors, evaluating the projections in fixed blocks of ``_BASIS_BLOCK``.
 :func:`calibrate_null` is its identity-basis case; the study harness passes
 its M projections.
 
@@ -77,7 +77,9 @@ _SLAB = 16
 # ahead do not grow with the replicate count or the CPU count.
 _IN_FLIGHT = 4
 
-# Projections contracted at once; fixed so peak memory does not grow with M.
+# Bases whose (block, R) statistics kurtosis._projected_kurtosis forms at
+# once; fixed so peak memory does not grow with M. Their values, and so their
+# moments, do not depend on the block they share.
 _BASIS_BLOCK = 64
 
 # Fewest replicates of any Monte Carlo null, in a budget or a study config.
@@ -288,7 +290,8 @@ def _replicate_moments(bases: np.ndarray,
     """Mean, variance, se_mean and se_variance of the statistic of each
     projection U z over the replicates z, shape (4, M), from the M bases
     (M, k, p) and the ``kurtosis._fourth_moments`` reduction ``null`` of the
-    replicates, contracted in blocks of ``_BASIS_BLOCK``.
+    replicates, evaluated in blocks of ``_BASIS_BLOCK``: a column is that of
+    a call with its basis alone, bit for bit.
 
     Each block's moments are two-pass numpy reductions over its (M, R)
     values. The SE of the sample variance uses the empirical fourth central

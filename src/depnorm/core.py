@@ -161,12 +161,18 @@ class NullMoments:
 
     ``max_lag`` records the lag truncation used to build the moments when a
     covariance sequence was involved (None for the i.i.d. closed form).
+    A Monte Carlo null also records the standard errors of its mean and
+    variance and its surrogate's ``clipping_norm``; the closed forms
+    record 0 for all three.
     """
 
     mean: float
     variance: float
     source: MomentSource
     max_lag: int | None = None
+    se_mean: float = 0.0
+    se_variance: float = 0.0
+    clipping_norm: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.variance > 0:
@@ -193,6 +199,9 @@ class TestReport:
             "null_mean": self.null_moments.mean,
             "null_var": self.null_moments.variance,
             "null_source": self.null_moments.source.value,
+            "null_se_mean": self.null_moments.se_mean,
+            "null_se_var": self.null_moments.se_variance,
+            "null_clipping_norm": self.null_moments.clipping_norm,
         }
 
 

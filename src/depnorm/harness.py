@@ -8,11 +8,11 @@ test on each projection, and report rejection counts per significance
 level. The M bases come from one batched sampler call, with the values of
 M scalar draws from the angle stream (``_draw_bases``). The projected data
 are never formed. The sample is reduced once to its covariance and
-whitened fourth-moment matrix, and every projection's statistic is a
-contraction of these against the closed-form projector of its basis
+whitened fourth-moment matrix, and every projection's statistic is read
+from these by one formula in the normal m of its basis
 (``kurtosis._fourth_moments`` and ``kurtosis._projected_kurtosis``, after
-Mardia 1970): v v^T / |v|^2 for a line, I - n n^T / |n|^2 for a plane with
-whitened normal n, and the identity for a 2->2 rotation. So every rotation
+Mardia 1970): m = (u_2, -u_1) for a line, u_1 x u_2 for a plane, and m = 0
+for a 2->2 rotation, whose statistic is the sample's B_2. So every rotation
 of a realization gets the same statistic, the same calibrated null and the
 same p-value.
 
@@ -27,9 +27,9 @@ batch of source-dimension Gaussian replicates matched to S(tau). Projected
 by U, the batch is a Gaussian process with covariance sequence
 U S(tau) U^T, the law a per-projection surrogate would have. It is drawn
 and reduced slab by slab on a thread pool (``calibrate._draw_reduced``),
-bit-identical to reducing the whole batch, and contracted against the
-bases in fixed blocks (``calibrate._replicate_moments``), so a
-realization's peak memory does not grow with M. It does grow with the
+bit-identical to reducing the whole batch, and the same formula gives the
+statistics of the bases in fixed blocks (``calibrate._replicate_moments``),
+so a realization's peak memory does not grow with M. It does grow with the
 replicate count: the stream layout draws the real normals of every
 replicate, (R/2, K, p), before the first slab, 11.4 MB of a peak near
 24 MB at N=1000, p=3 and R=500.

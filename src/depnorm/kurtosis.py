@@ -13,13 +13,14 @@ differ in the null moments used to standardize it:
 * ``COLORED_BIVARIATE``: Monte Carlo calibration against a Gaussian
   process matched to the estimated covariance sequence (p = 2).
 
-The statistic of every projection U x of a sample is a contraction of one
+The statistic of every projection U x of a sample is read from one
 reduction of the sample, its whitened fourth moments
-(:func:`_fourth_moments`), against the pair coordinates of the projector
-onto U's row space in whitened coordinates (:func:`_projected_kurtosis`).
-That projector has a closed form for each basis shape in use: a line, a
-plane of a 3-D source, and a full-rank basis, whose projector is the
-identity, so B_p is the same for every rotation of a sample (Mardia 1970).
+(:func:`_fourth_moments`), by one formula (:func:`_projected_kurtosis`).
+Every basis in use is a hyperplane of its source, a line of a 2-D source
+or a plane of a 3-D one, or the whole source. B of a hyperplane with
+normal m is B_p of the source plus a quartic form in m over the square of
+a quadratic one, and the term vanishes at full rank, so B_p is the same
+for every rotation of a sample (Mardia 1970).
 
 :func:`_null_moments` is the one place that computes each kind's null, for
 every projection U x of a sample at once; :func:`run_test` is its
@@ -107,10 +108,10 @@ class KurtosisValue:
 
 
 # A zero, overflowing or singular S gives NaN or inf in _reduce_block, and
-# in _projected_kurtosis's closed forms (a zero |v|^2 or eigenvalue of L L^T
-# divides, a NaN moment compares), which the latter turns into NaN values,
-# so their warnings are noise. Kept as a decorator, because the threads of
-# calibrate._run_tasks run these kernels at once: numpy >= 2 holds the
+# in _projected_kurtosis's formula (a zero eigenvalue of L L^T or of
+# m^T S^{-1} m divides, a NaN moment compares), which the latter turns into
+# NaN values, so their warnings are noise. Kept as a decorator, because the
+# threads of calibrate._run_tasks run these kernels at once: numpy >= 2 holds the
 # decorator's context token per call (a second thread entering a shared
 # ``with _QUIET:`` raises TypeError), and numpy 1.x keeps the error state per
 # thread, so each thread saves and restores the same fresh-thread default.
@@ -200,20 +201,11 @@ def _fourth_moments(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return moments
 
 
-def _times_factor(x: np.ndarray, whiten: np.ndarray) -> list[np.ndarray]:
-    """The components of x L for each row vector x of ``x`` (M, p) and each
-    factor L of ``whiten`` (R, p, p): p arrays (M, R), each summed over i in
-    order, so that an entry does not depend on M or R."""
-    p = x.shape[1]
-    return [sum(x[:, i, None] * whiten[:, i, j] for i in range(p)) for j in range(p)]
-
-
-def _contract(c: list, m4: np.ndarray) -> np.ndarray:
-    """c^T M4 c for the d pair coordinates c of a projector, numbers or
-    arrays (..., R), and the pair-coordinate M4 (R, d, d): the d(d+1)/2
-    distinct products c_a c_b M4_ab, doubled off the diagonal, summed in
-    order, so that an entry does not depend on the shape of the batch."""
-    return sum(c[a] * c[b] * (w * m4[:, a, b]) for a, b, w in zip(*_pairs(len(c))))
+def _forms(monomials: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """The forms with ``coefficients`` (n, R) at the M rows of ``monomials``, by
+    ``np.einsum`` on C-ordered operands, which unlike BLAS rounds a row alike for any M."""
+    return np.einsum("mn,nr->mr", np.ascontiguousarray(monomials),
+                     np.ascontiguousarray(coefficients))
 
 
 @_QUIET
@@ -223,72 +215,78 @@ def _projected_kurtosis(bases: np.ndarray,
     """Statistic of every projection U x of every sample, shape (M, R), from
     the ``moments`` of :func:`_fourth_moments`.
 
-    ``bases`` holds the M projection matrices U, shape (M, k, p). In the
-    whitened coordinates y = L^{-1} x, q(n) = y(n)^T P y(n) with P the
-    orthogonal projector onto the row space of V = UL, and the statistic is
-    the contraction c^T M4 c, where c holds the pair coordinates of P: P_ij
-    for i <= j in ``np.triu_indices`` order, doubled off the diagonal. P has
-    a closed form for every supported shape (k, p), so no matrix is
-    decomposed per projection and replicate:
+    ``bases`` holds the M projection matrices U, shape (M, k, p): lines of a
+    2-D source, planes of a 3-D source, or full rank (k = p); any other
+    shape raises ``ValueError``. U x has the squared Mahalanobis norm
+    q - (m^T z)^2 / m^T S^{-1} m, with z = S^{-1} x, q = x^T z and m the
+    normal of a line (u_2, -u_1) or a plane u_1 x u_2, or m = 0 at full
+    rank, so one formula gives every statistic:
 
-    * k = 1, lines in any p: P = v v^T / |v|^2 with v = uL;
-    * k = 2, p = 3, planes: P = I - n n^T / |n|^2 with n the whitened normal
-      v_1 x v_2, parallel to L^{-1} (u_1 x u_2), computed as such;
-    * k = p, full rank (the identity and the rotations): P = I, so the
-      statistic is the sum of M4's diagonal-pair block, the same for every
-      basis.
+        B = K0 + (T(m, m, m, m) - 2 m^T A m m^T S^{-1} m) / (m^T S^{-1} m)^2,
 
-    Any other (k, p) raises ``ValueError``. A value is NaN where U S U^T is
-    numerically singular, that is where its smallest eigenvalue is not a
-    positive normal float or its condition number is at least
-    ``_MAX_CONDITION``, and where it is not finite. The trace of U S U^T is a
-    pair-coordinate sum of S; at k = 2 its determinant is |v_1 x v_2|^2 =
-    det(L)^2 |L^{-1} (u_1 x u_2)|^2 (the Lagrange identity; det(U)^2 det(L)^2
-    at p = 2), a sum of squares that does not cancel, and the two
-    eigenvalues follow from the trace and the determinant. L's floor (see
-    :func:`_fourth_moments`) leaves a numerically singular U S U^T singular.
-    Only at k = p >= 3, which no study reaches, is U S U^T decomposed
-    (``eigvalsh``), once per basis and sample.
+    with K0, A and T the means of q^2, q z z^T and z^(x)4, read from M4. At
+    m = 0, B = K0 for every rotation (Mardia 1970), summed from M4's
+    diagonal-pair entries in the order of ``_pairs`` one level up. The
+    terms in m are one :func:`_forms` product each, in the pair coordinates
+    of m~ m~^T or of those pairs, m~ = L0^{-1} m in one frame x = L0 x~ per
+    call, L0 the whitening factor of the samples' mean covariance; with
+    G = L^{-1} L0, m^T S^{-1} m = |G m~|^2 and the coefficients are M4's
+    carried through G. Their rounding grows with a power of G's condition
+    number, so a call takes one sample (G = I) or one surrogate's replicates;
+    a value depends on the other samples through L0, not on the other bases.
 
-    Every entry is computed elementwise, so it does not depend on how many
-    bases or samples share the call.
+    A value is NaN where U S U^T is numerically singular, that is where its
+    smallest eigenvalue is not a positive normal float or its condition
+    number is at least ``_MAX_CONDITION``, and where it is not finite. Its
+    determinant, det(S) m^T S^{-1} m or det(U)^2 det(S) at full rank, does
+    not cancel; at k = 2 the eigenvalues follow from it and the trace, a
+    pair-coordinate form of S, and at k = p >= 3 from ``eigvalsh``. L's
+    floor (see :func:`_fourth_moments`) keeps a singular U S U^T singular.
     """
     s, whiten, m4 = moments
     m, k, p = bases.shape
+    if k != p and (k, p) not in ((1, 2), (2, 3)):
+        raise ValueError(f"projection bases must be lines of a 2-D source (k=1, p=2), planes "
+                         f"of a 3-D source (k=2, p=3) or full rank (k=p); got k={k}, p={p}")
     rows, cols, weights = _pairs(p)
-    eye = [float(i == j) for i, j in zip(rows, cols)]
-    # tr(U S U^T) = sum of (U^T U)_ij S_ij, (M, R)
-    trace = sum(sum(bases[:, i, a, None] * bases[:, i, b, None] for i in range(k))
-                * (w * s[:, a, b]) for a, b, w in zip(rows, cols, weights))
+    rows2, cols2, weights2 = _pairs(rows.size)
+    diag = rows == cols
+    k0 = sum(w * m4[:, a, b] for a, b, w in zip(rows2, cols2, weights2) if diag[a] and diag[b])
     # the eigenvalues of L L^T, whose eigenvectors are L's columns
-    lam = [sum(whiten[:, i, j] ** 2 for i in range(p)) for j in range(p)]
-    if k == 1:
-        v = _times_factor(bases[:, 0], whiten)
-        vv = sum(x * x for x in v)
-        c = [v[i] * v[j] * w / vv for i, j, w in zip(rows, cols, weights)]
-        low = high = trace
-    elif (k, p) == (2, 3):
-        normal = _times_factor(np.cross(bases[:, 0], bases[:, 1]), whiten)
-        n = [x / lam_j for x, lam_j in zip(normal, lam)]
-        nn = sum(x * x for x in n)
-        c = [e - n[i] * n[j] * w / nn for e, i, j, w in zip(eye, rows, cols, weights)]
-        det = lam[0] * lam[1] * lam[2] * nn
-    elif k == p:
-        c = eye
-        if p == 2:
-            minor = bases[:, 0, 0] * bases[:, 1, 1] - bases[:, 0, 1] * bases[:, 1, 0]
-            det = minor[:, None] ** 2 * (lam[0] * lam[1])
-        else:
-            u = bases[:, None]
-            gram = np.linalg.eigvalsh(u @ s @ u.swapaxes(-1, -2))
-            low, high = gram[..., 0], gram[..., -1]
+    lam = np.sum(whiten**2, axis=1)
+    if k == p:
+        values = np.broadcast_to(k0, (m, len(m4))).copy()
+        gram = np.linalg.det(bases)[:, None] ** 2
     else:
-        raise ValueError(f"projection bases must be lines (k=1), planes of a 3-D source "
-                         f"(k=2, p=3) or full rank (k=p); got k={k}, p={p}")
-    if k == 2:
+        q0, scale0 = _eigen_factor(s.mean(axis=0))
+        normal = (np.cross(bases[:, 0], bases[:, 1]) if k == 2
+                  else bases[:, 0] @ ((0.0, -1.0), (1.0, 0.0)))  # exact: (u_2, -u_1)
+        # the columns of the rows m~ = m L0^{-T}, L0^{-T} = Q0 Lambda0^{-1/2}
+        normal = [functools.reduce(np.add, (normal[:, i] * (q0[i, j] / scale0[j])
+                                            for i in range(p))) for j in range(p)]
+        g = (whiten / lam[:, None, :]).transpose(0, 2, 1) @ (q0 * scale0)
+        # the pair coordinates of w w^T, w = G m~, from those of m~ m~^T
+        gi, gj = g[:, rows], g[:, cols]
+        pair = (gi[..., rows] * gj[..., cols] + gi[..., cols] * gj[..., rows]) * np.outer(
+            weights, weights / 2)
+        # m^T A m and m^T S^{-1} m in pairs of m~, T - 2 m^T A m m^T S^{-1} m in pairs of pairs
+        alpha, gamma = ((diag @ m4)[:, None] @ pair)[:, 0], diag @ pair
+        quartic = ((pair.transpose(0, 2, 1) @ m4 @ pair)[:, rows2, cols2] - alpha[:, rows2]
+                   * gamma[:, cols2] - gamma[:, rows2] * alpha[:, cols2]) * weights2
+        mono = np.stack([normal[i] * normal[j] for i, j in zip(rows, cols)], 1)
+        gram = _forms(mono, gamma.T)
+        values = k0 + _forms(mono[:, rows2] * mono[:, cols2], quartic.T) / gram**2
+    det = gram * np.prod(lam, axis=1)
+    if k == 1:
+        low = high = det
+    elif k == 2:
+        trace = _forms(sum(bases[:, i, rows] * bases[:, i, cols] for i in range(k)),
+                       (s[:, rows, cols] * weights).T)
         high = trace / 2 + np.sqrt(np.maximum(trace**2 / 4 - det, 0.0))
         low = det / high
-    values = np.broadcast_to(_contract(c, m4), (m, len(m4))).copy()
+    else:
+        spectrum = np.linalg.eigvalsh(bases[:, None] @ s @ bases[:, None].swapaxes(-1, -2))
+        low, high = spectrum[..., 0], spectrum[..., -1]
     ok = (low >= np.finfo(float).tiny) & (high / _MAX_CONDITION < low) & np.isfinite(values)
     values[~ok] = np.nan
     return values
@@ -406,19 +404,25 @@ def _scalar_lag_sums(u: np.ndarray, lags: np.ndarray, n: int) -> tuple[np.ndarra
 def _sample_null(kind: TestKind, p: int, cov: CovarianceSequence | None, n: int,
                  budget=None) -> NullMoments:
     """The identity-basis case of :func:`_null_moments` for one p-variate
-    sample, calibrated by ``calibrate_null`` under ``budget``; raises
+    sample, calibrated by ``calibrate_null`` under ``budget``, with the
+    calibration's standard errors and clipping norm; raises
     ``DegenerateSampleError`` for a degenerate null."""
     from .calibrate import calibrate_null
 
     kind.check_dim(p, n)
-    mean, var, _, _ = _null_moments(
-        kind, np.eye(p)[None], cov, n,
-        lambda surrogate: np.array(astuple(calibrate_null(surrogate, budget))[:4])[:, None],
-    )[:, 0]
+    calibrated = []
+
+    def calibrate(surrogate):
+        calibrated.append(calibrate_null(surrogate, budget))
+        return np.array(astuple(calibrated[0])[:4])[:, None]
+
+    mean, var, se_mean, se_var = _null_moments(kind, np.eye(p)[None], cov, n, calibrate)[:, 0]
     if not np.isfinite(mean):
         raise DegenerateSampleError(_DEGENERATE_MESSAGE)
     return NullMoments(float(mean), float(var), _SOURCES[kind],
-                       max_lag=None if cov is None else resolve_max_lag(cov.max_lag, n))
+                       max_lag=None if cov is None else resolve_max_lag(cov.max_lag, n),
+                       se_mean=float(se_mean), se_variance=float(se_var),
+                       clipping_norm=calibrated[0].clipping_norm if calibrated else 0.0)
 
 
 def _source_covariance(x: TimeSeriesSample, max_lag: int | None) -> CovarianceSequence:

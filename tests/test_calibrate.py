@@ -25,10 +25,10 @@ from depnorm import (
     run_experiment,
     simulate_gaussian_batch,
 )
-from depnorm.calibrate import (_CHUNK, _IN_FLIGHT, _MAX_WORKERS, _SLAB, _draw_reduced,
-                               _replicate_moments, _transform_slab)
+from depnorm.calibrate import (_BASIS_BLOCK, _CHUNK, _IN_FLIGHT, _MAX_WORKERS, _SLAB,
+                               _draw_reduced, _replicate_moments, _transform_slab)
 from depnorm.kurtosis import _fourth_moments, _projected_kurtosis
-from depnorm.projection import sample_plane
+from depnorm.projection import sample_direction, sample_plane
 from reference import direct_gaussian_batch, direct_kurtosis, moments_with_errors
 
 
@@ -312,6 +312,21 @@ class TestReplicateMoments:
             np.testing.assert_allclose(
                 got[:3, m], [values.mean(), var, math.sqrt(var / values.size)],
                 rtol=1e-9)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_basis_gets_its_one_basis_value(self, p):
+        # lines or planes over two full blocks and a partial one: the moments
+        # of each basis are those of a call with that basis alone, bit for bit
+        gen = RngStream(57).generator()
+        m = 2 * _BASIS_BLOCK + 5
+        bases = (sample_direction(gen, m).vector()[:, None, :] if p == 2
+                 else sample_plane(gen, m).basis())
+        null = _fourth_moments(simulate_gaussian_batch(_var1_surrogate(p, 20), RngStream(58), 150))
+        got = _replicate_moments(bases, null)
+        assert np.isfinite(got).all()
+        for i in range(m):
+            one = _replicate_moments(bases[i : i + 1], null)
+            np.testing.assert_array_equal(got[:, i], one[:, 0])
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("replicates", [100, 256, 257, 2000])

@@ -62,7 +62,7 @@ class TestTest:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {
             "statistic", "z", "p_value", "reject", "null_mean", "null_var",
-            "null_source",
+            "null_source", "null_se_mean", "null_se_var", "null_clipping_norm",
         }
         assert 0.0 <= payload["p_value"] <= 1.0
 

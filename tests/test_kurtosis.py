@@ -20,6 +20,7 @@ from depnorm import (
     RngStream,
     TestKind,
     TimeSeriesSample,
+    calibrate_null,
     center,
     colored_bivariate_null_moments,
     colored_scalar_null_moments,
@@ -32,7 +33,7 @@ from depnorm import (
 )
 from depnorm.copula import ar1_filter
 from depnorm.kurtosis import (KurtosisValue, _fourth_moments, _null_moments, _pairs,
-                              _projected_kurtosis)
+                              _projected_kurtosis, _source_covariance)
 from depnorm.projection import (Direction1D, Plane2D, rotation_matrix, sample_direction,
                                 sample_plane, sample_rotation)
 from reference import direct_colored1_moments, direct_kurtosis, eigh_projected_kurtosis
@@ -190,7 +191,7 @@ class TestProjectedKurtosis:
 
 
 # A batch of bases from angle arrays, one basis per angle, for each
-# closed-form shape of _projected_kurtosis, keyed by (kind, source dim).
+# supported shape of _projected_kurtosis, keyed by (kind, source dim).
 _SHAPES = {
     ("line", 2): lambda a, b: Direction1D(a).vector()[:, None, :],
     ("plane", 3): lambda a, b: Plane2D(a / 2, b).basis(),
@@ -200,16 +201,16 @@ _SHAPES = {
 
 
 def _oracle_rtol(cond):
-    """Agreement of the closed forms with ``eigh_projected_kurtosis`` on
+    """Agreement of _projected_kurtosis with ``eigh_projected_kurtosis`` on
     samples whose covariance has condition number ``cond``: the oracle forms
     and inverts U S U^T, so its projector rounds at about eps times that
-    matrix's condition number, which the closed forms never form."""
+    matrix's condition number, which _projected_kurtosis never forms."""
     return 1e-12 + 16 * np.finfo(float).eps * cond
 
 
 class TestClosedFormProjector:
-    """The closed-form projectors of _projected_kurtosis against the general
-    eigh contraction, on the same moments."""
+    """The one formula of _projected_kurtosis against the general eigh
+    contraction, on the same moments."""
 
     def _check(self, bases, batch, rtol):
         moments = _fourth_moments(batch)
@@ -286,7 +287,7 @@ class TestClosedFormProjector:
         batch = _mixed_batch(RngStream(seed).generator(), p, 10.0**log_cond, r=3, n=60)
         self._check(bases, batch, _oracle_rtol(10.0**log_cond))
 
-    @pytest.mark.parametrize("k, p", [(2, 4), (3, 4), (2, 1), (0, 2)])
+    @pytest.mark.parametrize("k, p", [(2, 4), (3, 4), (2, 1), (0, 2), (1, 3), (1, 4)])
     def test_unsupported_shape_raises(self, k, p):
         batch = RngStream(40).generator().standard_normal((2, p, 50))
         with pytest.raises(ValueError, match=f"got k={k}, p={p}"):
@@ -578,8 +579,24 @@ class TestRunTest:
         d = rep.to_dict()
         assert set(d) == {
             "statistic", "z", "p_value", "reject", "null_mean", "null_var",
-            "null_source",
+            "null_source", "null_se_mean", "null_se_var", "null_clipping_norm",
         }
+
+    def test_report_carries_the_monte_carlo_error(self):
+        # colored2 reports the SEs and clipping norm of calibrate_null on the
+        # surrogate run_test builds, under the same budget; the closed forms 0
+        x = generate(GeneratorConfig(ArchimedeanFamily.clayton(), 2, 300), RngStream(103))
+        budget = CalibrationBudget(replicates=300, seed=RngStream(107))
+        rep = run_test(x, TestKind.COLORED_BIVARIATE, 0.05, budget=budget)
+        res = calibrate_null(GaussianSurrogate(_source_covariance(x, None), x.n), budget)
+        d = rep.to_dict()
+        assert (d["null_se_mean"], d["null_se_var"], d["null_clipping_norm"]) == (
+            res.se_mean, res.se_variance, res.clipping_norm)
+        assert (rep.null_moments.mean, rep.null_moments.variance) == (res.mean, res.variance)
+        assert res.se_mean > 0 and res.se_variance > 0
+        for kind, data in ((TestKind.MARDIA_IID, x.data), (TestKind.COLORED_SCALAR, x.data[:1])):
+            nm = run_test(TimeSeriesSample(data), kind, 0.05).null_moments
+            assert (nm.se_mean, nm.se_variance, nm.clipping_norm) == (0.0, 0.0, 0.0)
 
     def test_max_lag_truncation_recorded(self):
         x = TimeSeriesSample(RngStream(61).generator().standard_normal((1, 500)))
