@@ -111,16 +111,16 @@ class GaussianSurrogate:
     """Stationary Gaussian process matched to a truncated covariance sequence.
 
     The model has exactly the supplied covariances up to the sequence's max
-    lag and zero covariance beyond it. ``clipping_norm`` records the largest
-    negative spectral eigenvalue relative to the spectral norm (0 for a
-    valid model).
+    lag, at most N-1, and zero covariance beyond it. ``clipping_norm``
+    records the largest negative spectral eigenvalue relative to the
+    spectral norm (0 for a valid model).
     """
 
     def __init__(self, cov: CovarianceSequence, n: int):
-        if n < 2:
-            raise ValueError("surrogate length must be >= 2")
-        self.n = n
         L = cov.max_lag
+        if n < 2 or L >= n:  # N values have lags 0..N-1; more can wrap onto each other
+            raise ValueError(f"surrogate needs N >= 2 and max_lag < N, got N={n}, max_lag={L}")
+        self.n = n
         p = cov.p
         k = next_fast_len(n + L + 1)
         circ = np.zeros((k, p, p))

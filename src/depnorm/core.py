@@ -236,8 +236,8 @@ def _check_counts(config) -> None:
 
 
 def resolve_max_lag(max_lag: int | None, n: int) -> int:
-    """Lag truncation for a series of length ``n``: N-1 for None, larger
-    values clamped to N-1, negative values rejected with ``ValueError``.
+    """Lag truncation for a series of length ``n``: N-1 for None, larger values
+    clamped to N-1, ``ValueError`` for anything but None or an ``int`` >= 0.
 
     Keeping every lag is the default: the full biased covariance sequence
     has spectral matrices equal to the sample periodogram, which is positive
@@ -245,8 +245,8 @@ def resolve_max_lag(max_lag: int | None, n: int) -> int:
     (Wood & Chan 1994) never trip the clipping guard. Truncating below N-1
     trades that guarantee for a smaller model.
     """
-    if max_lag is not None and max_lag < 0:
-        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+    if max_lag is not None and (type(max_lag) is not int or max_lag < 0):
+        raise ValueError(f"max_lag must be None or an integer >= 0, got {max_lag!r}")
     return n - 1 if max_lag is None else min(max_lag, n - 1)
 
 

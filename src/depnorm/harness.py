@@ -2,22 +2,19 @@
 rates, and reproduction of the reference result tables.
 
 The protocol per realization: draw one copula sample, project it M times
-(random directions for bivariate data, random planes for trivariate data,
-random in-plane rotations for the bivariate joint test), run each requested
-test on each projection, and report rejection counts per significance
-level. The M bases come from one batched sampler call, with the values of
-M scalar draws from the angle stream (``_draw_bases``). The projected data
-are never formed. The sample is reduced once to its covariance and
-whitened fourth-moment matrix, and every projection's statistic is read
-from these by one formula in the normal m of its basis
-(``kurtosis._fourth_moments`` and ``kurtosis._projected_kurtosis``, after
-Mardia 1970): m = (u_2, -u_1) for a line, u_1 x u_2 for a plane, and m = 0
-for a 2->2 rotation, whose statistic is the sample's B_2. So every rotation
-of a realization gets the same statistic, the same calibrated null and the
-same p-value.
+(random lines of bivariate data, random planes of trivariate data), run
+each requested test on each projection, and count rejections per level.
+The bivariate joint test runs once, on the sample itself: the paper tests
+M random in-plane rotations, but B_2 and its calibrated null are
+affine-invariant (Mardia 1970), so each rotation's decision is the
+sample's, counted M times. The lines or planes come from one batched
+sampler call (``_draw_bases``), and the projected data are never formed.
+The sample is reduced once, by the calls ``run_test`` makes, to its
+whitened fourth moments (``kurtosis._fourth_moments``), from which one
+formula gives every projection's statistic (``kurtosis._projected_kurtosis``),
+and to its covariance sequence S(tau) (``kurtosis._source_covariance``).
 
-The source covariance sequence S(tau) is estimated once per realization,
-and ``kurtosis._null_moments`` gives the null of every projection from it,
+``kurtosis._null_moments`` gives the null of every projection from S(tau),
 as it does for ``run_test``. The colored scalar lag sums of a line u are
 a quadratic and a quartic form in the coefficients of v v^T, v = uL for
 the whitening factor L of S(0), contracted against two lag-moment tensors
@@ -51,16 +48,21 @@ from .calibrate import (
     simulate_gaussian_batch,  # noqa: F401  (perfbench/tracing.py patches it here)
 )
 from .copula import ArchimedeanFamily, GeneratorConfig, generate
-from .core import RngStream, _check_counts, center, resolve_max_lag, sample_cross_covariance
+from .core import RngStream, _check_counts, resolve_max_lag
+from .core import center  # noqa: F401  (perfbench/tracing.py patches it here)
+from .core import sample_cross_covariance  # noqa: F401  (perfbench/tracing.py patches it here)
 from .kurtosis import (
     TestKind,
     _fourth_moments,
     _null_moments,
     _projected_kurtosis,
+    _source_covariance,
     iid_null_moments,  # noqa: F401  (perfbench/tracing.py patches it here)
     two_sided_p_value,
 )
-from .projection import rotation_matrix, sample_direction, sample_plane, sample_rotation
+from .projection import rotation_matrix  # noqa: F401  (perfbench/tracing.py patches it here)
+from .projection import sample_direction, sample_plane
+from .projection import sample_rotation  # noqa: F401  (perfbench/tracing.py patches it here)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -108,14 +110,14 @@ _TABLE_SETUPS = {
 }
 
 
-# (source_dim, projection_dim) -> draw of M (projection_dim, source_dim)
-# bases in one sampler call: lines, planes, or in-plane rotations. The
-# samplers are looked up at draw time, so wrappers put on this module's names
-# take effect.
+# (source_dim, projection_dim) -> a realization's (projection_dim, source_dim)
+# bases: M lines or planes in one sampler call, or the identity, one 2->2 test
+# for every in-plane rotation. The samplers are looked up at draw time, so
+# wrappers put on this module's names take effect.
 _SETUPS = {
     (2, 1): lambda gen, m: sample_direction(gen, m).vector()[:, None, :],
     (3, 2): lambda gen, m: sample_plane(gen, m).basis(),
-    (2, 2): lambda gen, m: rotation_matrix(sample_rotation(gen, m)),
+    (2, 2): lambda gen, m: np.eye(2)[None],
 }
 
 # Config fields whose key in the dict form differs from the field name.
@@ -173,11 +175,11 @@ def _from_json(key: str, annotation: str, value):
 class ExperimentConfig:
     """Full description of one rejection-rate study.
 
-    ``source_dim == projection_dim == 2`` means random in-plane rotations of
-    the bivariate data, each tested by the joint B_2 of the rotated pair,
-    rather than a dimension-reducing projection. B_2 is affine-invariant, so
-    every rotation of a realization gives the same statistic, null and
-    decision.
+    ``source_dim == projection_dim == 2`` means the joint B_2 of the
+    bivariate data, rather than a dimension-reducing projection. The paper
+    tests M random in-plane rotations of the pair; B_2 is affine-invariant,
+    so every rotation gives the same statistic, null and decision, and a
+    realization runs one identity-basis test and counts it M times.
     """
 
     family: ArchimedeanFamily
@@ -322,18 +324,17 @@ class RejectionRateReport:
 
 
 def _draw_bases(cfg: ExperimentConfig, gen: np.random.Generator) -> np.ndarray:
-    """M projection matrices, shape (M, projection_dim, source_dim), drawn
-    in one batched sampler call with the values of M scalar draws."""
+    """A realization's bases: (M, projection_dim, source_dim) from one batched
+    sampler call of M scalar draws, or for 2->2 the identity, (1, 2, 2)."""
     return _SETUPS[(cfg.source_dim, cfg.projection_dim)](gen, cfg.m)
 
 
 def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
     x = generate(cfg._generator_config(), stream.substream(_DATA, r))
-    xc = center(x)
-    cov = sample_cross_covariance(xc, resolve_max_lag(cfg.max_lag, cfg.n))
+    cov = _source_covariance(x, cfg.max_lag)
     bases = _draw_bases(cfg, stream.substream(_ANGLES, r).generator())
 
-    b_data = _projected_kurtosis(bases, _fourth_moments(xc.data[None]))[:, 0]
+    b_data = _projected_kurtosis(bases, _fourth_moments(x.data[None]))[:, 0]
     valid = np.isfinite(b_data)
 
     def calibrate(surrogate):
@@ -345,9 +346,11 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
     for kind in cfg.tests:
         mean, var, _, _ = _null_moments(kind, bases, cov, cfg.n, calibrate)
         valid &= np.isfinite(mean)
-        pvalues[kind] = two_sided_p_value((b_data - mean) / np.sqrt(var))
+        z = (b_data - mean) / np.sqrt(var)
+        # a 2->2 realization's one test counts for each of its M rotations
+        pvalues[kind] = np.broadcast_to(two_sided_p_value(z), cfg.m)
 
-    return pvalues, valid
+    return pvalues, np.broadcast_to(valid, cfg.m)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RejectionRateReport:

@@ -479,6 +479,7 @@ def run_test(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     kind.check_dim(x.p, x.n)
+    resolve_max_lag(max_lag, x.n)  # raises for an invalid max_lag, whatever the kind
 
     stat = mardia_kurtosis(x)
     cov = None if kind == TestKind.MARDIA_IID else _source_covariance(x, max_lag)

@@ -19,10 +19,12 @@ from depnorm import (
     RngStream,
     TimeSeriesSample,
     calibrate_null,
+    center,
     colored_scalar_null_moments,
     iid_null_moments,
     resolve_max_lag,
     run_experiment,
+    sample_cross_covariance,
     simulate_gaussian_batch,
 )
 from depnorm.calibrate import (_BASIS_BLOCK, _CHUNK, _IN_FLIGHT, _MAX_WORKERS, _SLAB,
@@ -122,6 +124,18 @@ class TestSurrogate:
         x = TimeSeriesSample(simulate_gaussian_batch(sur, RngStream(7), 1)[0]).data[0]
         stat = kstest(x / x.std(), "norm").statistic
         assert stat < 1.63 / math.sqrt(n)
+
+    def test_max_lag_below_length(self):
+        # N values have lags 0..N-1: at max_lag 50 and N=10 the circle,
+        # K=63, is too short for the 101 lags, which overlap on it
+        with pytest.raises(ValueError, match="max_lag < N, got N=10, max_lag=50"):
+            GaussianSurrogate(_ar1_cov(0.9, 50), 10)
+        x = RngStream(11).generator().standard_normal((2, 11))
+        with pytest.raises(ValueError, match="max_lag < N, got N=10, max_lag=10"):
+            GaussianSurrogate(sample_cross_covariance(center(TimeSeriesSample(x)), 10), 10)
+        # every lag of 10 values, a periodogram, so a valid model
+        full = sample_cross_covariance(center(TimeSeriesSample(x[:, :10])), 9)
+        assert GaussianSurrogate(full, 10).clipping_norm < 1e-8
 
     def test_batch_replicates_independent(self):
         sur = GaussianSurrogate(_white_cov(1), 2000)

@@ -17,9 +17,11 @@ from depnorm import (
     TimeSeriesSample,
     run_experiment,
 )
+from depnorm.calibrate import _draw_reduced, _replicate_moments
 from depnorm.copula import ar1_filter
 from depnorm.harness import _ANGLES, _DATA, _SURROGATE, _draw_bases, _run_realization
-from depnorm.kurtosis import _fourth_moments, _mardia_batch, _null_moments, _projected_kurtosis
+from depnorm.kurtosis import (_fourth_moments, _mardia_batch, _null_moments, _projected_kurtosis,
+                              _source_covariance)
 from reference import direct_kurtosis, direct_scalar_lags
 
 GUMBEL = ArchimedeanFamily.gumbel()
@@ -58,17 +60,17 @@ _PINNED = {
     },
     (3, 2, None): {
         'colored2': (
-            '0x1.3123765acc713p-15', '0x1.3332f711d12b5p-27', '0x1.166d87600a54ap-20',
-            '0x1.03e9e7e73df83p-20', '0x1.67f41e9612cd2p-58', '0x1.99d37dc34ca0ap-39',
-            '0x1.783e1ddec82e5p-7', '0x1.04386cc5810a2p-10',
+            '0x1.3123765acc67ep-15', '0x1.3332f711d112bp-27', '0x1.166d87600a406p-20',
+            '0x1.03e9e7e73de5cp-20', '0x1.67f41e96129f8p-58', '0x1.99d37dc34c7b2p-39',
+            '0x1.783e1ddec81fcp-7', '0x1.04386cc580fddp-10',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
     (3, 2, 30): {
         'colored2': (
-            '0x1.2246f2298f195p-13', '0x1.8abc0aaa6d2ecp-27', '0x1.13d2bb7dbcb53p-20',
-            '0x1.60c653c7fc01cp-20', '0x1.0d1ff831f0a2fp-44', '0x1.07c2ea1862e92p-35',
-            '0x1.35b3937429f1fp-7', '0x1.e488c7aaa3cdap-11',
+            '0x1.2246f2298f113p-13', '0x1.8abc0aaa6d0efp-27', '0x1.13d2bb7dbca08p-20',
+            '0x1.60c653c7fbeacp-20', '0x1.0d1ff831f08cap-44', '0x1.07c2ea1862d2fp-35',
+            '0x1.35b3937429e54p-7', '0x1.e488c7aaa3b4bp-11',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
@@ -106,9 +108,13 @@ def _colored1_pvalues(x, bases, max_lag):
 def _per_projection_colored2(cfg, r, stream):
     """Colored bivariate p-values of one realization the direct way: project
     the data and the shared surrogate batch through each basis in turn and
-    evaluate every projected sample with the plain reference."""
+    evaluate every projected sample with the plain reference. For 2->2 the
+    bases are M real in-plane rotations from the angle stream, where the
+    harness runs one identity-basis test."""
     x = dn.center(dn.generate(cfg._generator_config(), stream.substream(_DATA, r)))
-    bases = _draw_bases(cfg, stream.substream(_ANGLES, r).generator())
+    gen = stream.substream(_ANGLES, r).generator()
+    bases = (dn.rotation_matrix(dn.sample_rotation(gen, cfg.m))
+             if cfg.source_dim == cfg.projection_dim else _draw_bases(cfg, gen))
     surrogate = dn.GaussianSurrogate(dn.sample_cross_covariance(x, cfg.n - 1), cfg.n)
     z = dn.simulate_gaussian_batch(surrogate, stream.substream(_SURROGATE, r),
                                    cfg.calib_replicates)
@@ -458,6 +464,25 @@ class TestProjectionEngine:
         assert valid.all()
         assert len(set(map(float.hex, pvalues[TestKind.COLORED_BIVARIATE]))) == 1
 
+    @pytest.mark.parametrize("max_lag", [None, 30])
+    @pytest.mark.parametrize("family", [GUMBEL, CLAYTON])
+    def test_joint_test_reads_the_sample_as_run_test_does(self, family, max_lag):
+        # a 2->2 realization is one test of its sample, from the functions
+        # run_test calls: B_2 of the sample and the null of the surrogate of
+        # its lags, counted for each of the M rotations
+        cfg = _tiny_config(family=family, source_dim=2, projection_dim=2,
+                           temporal_coloring=True, n=1000, m=5, max_lag=max_lag)
+        stream = RngStream(cfg.seed, 0)
+        for r in range(4):
+            pvalues, valid = _run_realization(cfg, r, stream)
+            x = dn.generate(cfg._generator_config(), stream.substream(_DATA, r))
+            surrogate = dn.GaussianSurrogate(_source_covariance(x, max_lag), cfg.n)
+            mean, var, _, _ = _replicate_moments(np.eye(2)[None], _draw_reduced(
+                surrogate, [(stream.substream(_SURROGATE, r), cfg.calib_replicates)]))[:, 0]
+            p_value = dn.two_sided_p_value((dn.mardia_kurtosis(x).value - mean) / np.sqrt(var))
+            assert valid.tolist() == [True] * cfg.m
+            assert list(map(float.hex, pvalues[TestKind.COLORED_BIVARIATE])) == \
+                [float.hex(p_value)] * cfg.m, r
 
     @pytest.mark.parametrize("source_dim, projection_dim, max_lag", list(_PINNED))
     def test_pinned_pvalues(self, source_dim, projection_dim, max_lag):
@@ -551,8 +576,10 @@ class TestNullSize:
         assert abs(np.mean(rates) - 0.05) < 0.02
 
 
-# The outputs of `depnorm reproduce-tables --fast --seed 16`, as recorded.
+# The outputs of `depnorm reproduce-tables --fast --seed 16` and of the full
+# `depnorm reproduce-tables --seed 16`, as recorded.
 _RECORDED = Path(__file__).parent / "reproduce_fast_seed16"
+_RECORDED_FULL = Path(__file__).parent / "reproduce_full_seed16"
 
 
 class TestReproduceTables:
@@ -564,6 +591,14 @@ class TestReproduceTables:
                 header = path.read_text().splitlines()[0]
                 assert header == "copula,test,alpha,rate,paper_rate,abs_diff"
             assert path.read_bytes() == (_RECORDED / path.name).read_bytes(), name
+
+    def test_full_run_reproduces_the_recorded_files(self, tmp_path):
+        # the full run (M=5000, 5 realizations, 500 replicates) at the default
+        # seed reproduces the recorded bytes
+        files = dn.reproduce_tables(tmp_path, seed=dn.DEFAULT_SEED)
+        assert list(files) == ["table1", "table2", "table3", "table4", "report"]
+        for name, path in files.items():
+            assert path.read_bytes() == (_RECORDED_FULL / path.name).read_bytes(), name
 
     def test_paper_rates_echoed_in_csv(self, fast_tables):
         rows = fast_tables["table1"].read_text().splitlines()[1:]

@@ -603,6 +603,19 @@ class TestRunTest:
         rep = run_test(x, TestKind.COLORED_SCALAR, 0.05, max_lag=20)
         assert rep.null_moments.max_lag == 20
 
+    @pytest.mark.parametrize("max_lag", [-5, np.int64(3), 2.5, True])
+    @pytest.mark.parametrize("kind, p", [(TestKind.MARDIA_IID, 2), (TestKind.COLORED_SCALAR, 1),
+                                         (TestKind.COLORED_BIVARIATE, 2)])
+    def test_max_lag_rule_for_every_kind(self, kind, p, max_lag):
+        # ExperimentConfig's rule, None or an int >= 0, holds for every kind,
+        # including iid, which has no lags to truncate
+        x = generate(GeneratorConfig(ArchimedeanFamily.gumbel(), 2, 200), RngStream(109))
+        x = TimeSeriesSample(x.data[:p])
+        with pytest.raises(ValueError, match="max_lag must be None or an integer >= 0"):
+            run_test(x, kind, 0.05, max_lag=max_lag)
+        budget = CalibrationBudget(replicates=100, seed=RngStream(113))
+        assert run_test(x, kind, 0.05, max_lag=x.n - 1, budget=budget).p_value > 0
+
     def test_bivariate_max_lag_honoured_and_recorded(self):
         # white noise truncated to 30 lags at N=300 trips the clipping guard,
         # so both checks use colored copula samples
