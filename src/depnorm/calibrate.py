@@ -14,16 +14,19 @@ errors, evaluating the projections in fixed blocks of ``_BASIS_BLOCK``.
 its M projections.
 
 Every Monte Carlo draw runs through one pipeline, :func:`_draw_reduced`,
-which lays the replicates of (RNG stream, count) segments end to end and
-has one task per slab of ``_SLAB`` complex draws (:func:`_transform_slab`,
-shared with :func:`simulate_gaussian_batch`), reduced by
-``kurtosis._reduce_block``. :func:`calibrate_null` has one segment per
-chunk of ``_CHUNK`` replicates, each from its own RNG substream; the study
-harness has one segment of all its replicates. The tasks run on
-:func:`_run_tasks`: the calling thread takes them in order, and it and at
-most ``_MAX_WORKERS - 1`` pool workers run them while numpy releases the
-GIL. Each task writes its own rows of preallocated moments, so the result
-is the same bit for bit on any number of CPUs.
+which lays the replicates of (RNG stream, count) segments end to end. It
+works in slabs of ``_SLAB`` complex draws: :func:`_transform_slab`, shared
+with :func:`simulate_gaussian_batch`, mixes them one draw at a time in
+cache and inverse-transforms the slab, and ``kurtosis._reduce_block``
+reduces it with products that release the GIL. :func:`calibrate_null` has
+one segment per chunk of ``_CHUNK`` replicates, each from its own RNG
+substream, and one task per segment, so that both threads also draw
+normals; the study harness has one segment of all its replicates and one
+task per slab. The tasks run on :func:`_run_tasks`: the calling thread
+takes them in order, and it and at most ``_MAX_WORKERS - 1`` pool workers
+run them while numpy releases the GIL. Each task writes its own rows of
+preallocated moments, so the result is the same bit for bit on any number
+of CPUs.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ from __future__ import annotations
 import logging
 import math
 import os
+import threading
 from collections import deque
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,8 +52,7 @@ from .core import (
     _check_counts,
     next_fast_len,
 )
-from .kurtosis import (_DEGENERATE_MESSAGE, _check_length, _empty_moments, _projected_kurtosis,
-                       _reduce_block)
+from .kurtosis import _DEGENERATE_MESSAGE, _check_length, _empty_moments, _projector, _reduce_block
 
 __all__ = [
     "CalibrationBudget",
@@ -64,9 +68,10 @@ logger = logging.getLogger(__name__)
 _CHUNK = 256
 
 # Threads that run _run_tasks's tasks, the caller included; fixed so peak
-# memory does not grow with the CPU count. Each adds a slab's temporaries
-# and the next segment's real normals: calibrate_null's peak at N=1000,
-# p=2, R=2000 is 9.5 MB on one thread and 17 MB on two (tracemalloc).
+# memory does not grow with the CPU count. Each adds a chunk's real normals
+# and a slab's temporaries: calibrate_null's peak at N=1000, p=2, R=2000 is
+# 7.5 MB on one thread and 14.8 MB on two (tracemalloc), and 4.1 MB of each
+# thread's share is the real normals.
 _MAX_WORKERS = 2
 
 # Complex draws transformed and reduced at once, 2 * _SLAB replicates; fixed
@@ -144,6 +149,8 @@ class GaussianSurrogate:
                         self.clipping_norm)
         w = np.clip(w, 0.0, None)
         self._factor = v * np.sqrt(w)[:, None, :]  # B with B @ B^H = spec
+        # B as (p, p, K), so that the mix reads each entry's K values in a row
+        self._factor_rows = np.ascontiguousarray(self._factor.transpose(1, 2, 0))
         self._k = k
         self.p = p
 
@@ -154,16 +161,19 @@ def _transform_slab(surrogate: GaussianSurrogate, real: np.ndarray, imag: np.nda
     part (h, K, p), into ``out`` (2h, p, N) or its first 2h - 1 rows: draw g
     gives replicates 2g (real part) and 2g + 1 (imaginary part)."""
     k, p, n = surrogate._k, surrogate.p, surrogate.n
-    # z[:, i] = sum_j B[:, i, j] xi[..., j], summed left to right, with the
-    # complex normals xi formed one channel at a time
+    factor = surrogate._factor_rows
+    # one draw at a time, in rows of K that stay in cache: the complex
+    # normals xi (p, K), then z[g, i] = sum_j B[i, j] xi[j], summed left to
+    # right
     z = np.empty((len(real), p, k), dtype=complex)
-    for j in range(p):
-        xi = real[..., j] + 1j * imag[..., j]
+    xi = np.empty((p, k), dtype=complex)
+    term = np.empty(k, dtype=complex)
+    for g, zg in enumerate(z):
+        xi.real, xi.imag = real[g].T, imag[g].T
         for i in range(p):
-            if j == 0:
-                np.multiply(surrogate._factor[:, i, 0], xi, out=z[:, i])
-            else:
-                z[:, i] += surrogate._factor[:, i, j] * xi
+            np.multiply(factor[i, 0], xi[0], out=zg[i])
+            for j in range(1, p):
+                zg[i] += np.multiply(factor[i, j], xi[j], out=term)
     z = np.fft.ifft(z, axis=-1)
     z *= math.sqrt(k)
     out[0::2] = z.real[: (len(out) + 1) // 2, :, :n]
@@ -247,28 +257,50 @@ def _draw_reduced(surrogate: GaussianSurrogate, segments: list[tuple[RngStream, 
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``_fourth_moments`` of the replicates of the (stream, count)
     ``segments``, ``simulate_gaussian_batch(surrogate, stream, count)`` laid
-    end to end, bit for bit, without forming a batch: each
-    :func:`_run_tasks` task transforms one slab and reduces it into its
-    rows. A segment's real normals, (count/2, K, p), are drawn before its
-    first slab, so the peak grows with the largest segment: at N=1000, p=3
-    it is about 24, 36 and 60 MB at count 500, 1000 and 2000 (tracemalloc),
-    of which the real normals are 11.4, 22.9 and 45.8 MB."""
-    moments = _empty_moments(sum(count for _, count in segments), surrogate.p)
+    end to end, bit for bit, without forming a batch.
+
+    A segment's real normals, (count/2, K, p), are drawn before its first
+    slab. One segment, the study harness's draw, has one :func:`_run_tasks`
+    task per slab, which transforms the slab and reduces it into its rows;
+    the caller draws the real normals while the pool idles, and the peak
+    grows with the count: at N=1000, p=3 it is about 25, 37 and 62 MB at
+    count 500, 1000 and 2000 (tracemalloc), of which the real normals are
+    12, 24 and 48 MB. Several segments, :func:`calibrate_null`'s chunks,
+    have one task per segment, which draws the segment's normals and
+    transforms and reduces its slabs in order, so each thread draws too and
+    holds one chunk's normals. A failed segment sets an event that stops
+    the others before their next slab. A harness that drew its replicates
+    in such chunks would take this path as well."""
+    counts = [count for _, count in segments]
+    moments = _empty_moments(sum(counts), surrogate.p)
 
     def reduce_slab(rows: slice, real: np.ndarray, imag: np.ndarray) -> None:
         batch = np.empty((rows.stop - rows.start, surrogate.p, surrogate.n))
         _transform_slab(surrogate, real, imag, batch)
         _reduce_block(batch, *(out[rows] for out in moments))
 
-    def tasks():
-        offset = 0
-        for rng, count in segments:
-            for start, real, imag in _normal_draws(surrogate, rng, count):
-                rows = slice(offset + 2 * start, offset + min(2 * (start + _SLAB), count))
-                yield partial(reduce_slab, rows, real, imag)
-            offset += count
+    def slabs(offset: int, rng: RngStream, count: int):
+        for start, real, imag in _normal_draws(surrogate, rng, count):
+            rows = slice(offset + 2 * start, offset + min(2 * (start + _SLAB), count))
+            yield partial(reduce_slab, rows, real, imag)
 
-    _run_tasks(tasks())
+    if len(segments) == 1:
+        _run_tasks(slabs(0, *segments[0]))
+        return moments
+    failed = threading.Event()
+
+    def reduce_segment(offset: int, rng: RngStream, count: int) -> None:
+        try:
+            for task in slabs(offset, rng, count):
+                if failed.is_set():
+                    return
+                task()
+        except BaseException:
+            failed.set()
+            raise
+
+    _run_tasks(partial(reduce_segment, offset, *segment)
+               for offset, segment in zip(accumulate(counts, initial=0), segments))
     return moments
 
 
@@ -301,8 +333,9 @@ def _replicate_moments(bases: np.ndarray,
     reductions carry that replicate's NaN value into every moment.
     """
     out = np.empty((4, len(bases)))
+    projected_kurtosis = _projector(null, *bases.shape[1:])
     for start in range(0, len(bases), _BASIS_BLOCK):
-        values = _projected_kurtosis(bases[start : start + _BASIS_BLOCK], null)
+        values = projected_kurtosis(bases[start : start + _BASIS_BLOCK])
         r = values.shape[1]
         mean = values.mean(axis=1)
         sq = (values - mean[:, None]) ** 2

@@ -90,7 +90,9 @@ def _cmd_generate(args) -> int:
 def _cmd_test(args) -> int:
     sample = load_sample(args.input)
     kind = TestKind(args.kind)
-    budget = CalibrationBudget(replicates=args.calib_reps, seed=RngStream(args.seed, 0))
+    # only colored2 draws, so only it checks the replicate count
+    budget = (CalibrationBudget(replicates=args.calib_reps, seed=RngStream(args.seed, 0))
+              if kind == TestKind.COLORED_BIVARIATE else None)
     report = run_test(sample, kind, args.alpha, max_lag=args.max_lag, budget=budget)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))

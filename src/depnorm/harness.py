@@ -28,8 +28,8 @@ bit-identical to reducing the whole batch, and the same formula gives the
 statistics of the bases in fixed blocks (``calibrate._replicate_moments``),
 so a realization's peak memory does not grow with M. It does grow with the
 replicate count: the stream layout draws the real normals of every
-replicate, (R/2, K, p), before the first slab, 11.4 MB of a peak near
-24 MB at N=1000, p=3 and R=500.
+replicate, (R/2, K, p), on the calling thread before the first slab, while
+the pool idles: 12 MB of a peak near 25 MB at N=1000, p=3 and R=500.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -122,7 +123,8 @@ def _unit_scale(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each (p, N) sample of ``data`` (..., p, N) times the power of two that
     brings its largest magnitude into [1/2, 1): exact, so it changes no ratio
     of moments, but it keeps their products representable at any scale."""
-    _, exponent = np.frexp(np.abs(data).max(axis=(-2, -1)))
+    # max(x.max(), -x.min()) is the largest |x|, without an |x| temporary
+    _, exponent = np.frexp(np.maximum(data.max(axis=(-2, -1)), -data.min(axis=(-2, -1))))
     return np.ldexp(data, -exponent[..., None, None], out=out)
 
 
@@ -155,23 +157,47 @@ def _eigen_factor(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, np.sqrt(np.maximum(lam, np.finfo(float).eps * lam[..., -1:]))
 
 
+# Longest part of a sample that one np.einsum call sums: numpy splits a longer
+# sum into buffer-sized parts for a batch of samples, but not for one sample,
+# so a longer sample is summed in parts of this size in a batch of any size.
+_SUM_PART = 8192
+
+
+def _mean_outer(a: np.ndarray, out: np.ndarray) -> None:
+    """Write (1/N) sum_n a(n) a(n)^T of each sample of ``a`` (B, m, N) into
+    ``out`` (B, m, m), summed by ``np.einsum`` in parts of ``_SUM_PART``."""
+    n = a.shape[-1]
+    np.einsum("bin,bjn->bij", a[..., :_SUM_PART], a[..., :_SUM_PART], out=out)
+    for start in range(_SUM_PART, n, _SUM_PART):
+        part = a[..., start : start + _SUM_PART]
+        out += np.einsum("bin,bjn->bij", part, part)
+    out /= n
+
+
 @_QUIET
 def _reduce_block(batch: np.ndarray, s: np.ndarray, whiten: np.ndarray,
                   m4: np.ndarray) -> None:
     """Write the :func:`_fourth_moments` of a block of samples, shape
-    (B, p, N), into its three outputs, each with B rows."""
+    (B, p, N), into its three outputs, each with B rows.
+
+    The products S = x x^T / N, y = Q^T x and M4 = w w^T / N are
+    ``np.einsum`` calls on C-ordered operands, S and M4 by
+    :func:`_mean_outer`. numpy holds the GIL through a batched ``@`` over
+    fewer than 500 samples, so the threads of ``calibrate._draw_reduced``,
+    which reduce 32-sample slabs, would take turns at it; einsum releases
+    the GIL, and rounds a sample's rows alike in a batch of any size."""
     _, p, n = batch.shape
     rows, cols, _ = _pairs(p)
     x = batch - batch.mean(axis=2, keepdims=True)
     _unit_scale(x, out=x)
-    s[...] = x @ x.transpose(0, 2, 1) / n
+    _mean_outer(x, out=s)
     q, scale = _eigen_factor(s)
-    y = q.transpose(0, 2, 1) @ x
+    y = np.einsum("bji,bjn->bin", np.ascontiguousarray(q), x)
     y /= scale[:, :, None]
     w = np.empty((len(y), rows.size, n))
     for k, (i, j) in enumerate(zip(rows, cols)):
         np.multiply(y[:, i], y[:, j], out=w[:, k])
-    m4[...] = w @ w.transpose(0, 2, 1) / n
+    _mean_outer(w, out=m4)
     whiten[...] = q * scale[:, None, :]
 
 
@@ -208,7 +234,6 @@ def _forms(monomials: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
                      np.ascontiguousarray(coefficients))
 
 
-@_QUIET
 def _projected_kurtosis(bases: np.ndarray,
                         moments: tuple[np.ndarray, np.ndarray, np.ndarray],
                         ) -> np.ndarray:
@@ -243,8 +268,18 @@ def _projected_kurtosis(bases: np.ndarray,
     pair-coordinate form of S, and at k = p >= 3 from ``eigvalsh``. L's
     floor (see :func:`_fourth_moments`) keeps a singular U S U^T singular.
     """
+    return _projector(moments, *bases.shape[1:])(bases)
+
+
+@_QUIET
+def _projector(moments: tuple[np.ndarray, np.ndarray, np.ndarray], k: int, p: int,
+               ) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`_projected_kurtosis` of the samples with these ``moments`` as a
+    function of the bases (M, k, p). What does not depend on the bases, the
+    frame L0, G, the coefficients of the forms and the determinant's product
+    of eigenvalues, is computed once here, so that blocks of bases evaluated
+    one after another cost what a call with all of them would."""
     s, whiten, m4 = moments
-    m, k, p = bases.shape
     if k != p and (k, p) not in ((1, 2), (2, 3)):
         raise ValueError(f"projection bases must be lines of a 2-D source (k=1, p=2), planes "
                          f"of a 3-D source (k=2, p=3) or full rank (k=p); got k={k}, p={p}")
@@ -254,16 +289,11 @@ def _projected_kurtosis(bases: np.ndarray,
     k0 = sum(w * m4[:, a, b] for a, b, w in zip(rows2, cols2, weights2) if diag[a] and diag[b])
     # the eigenvalues of L L^T, whose eigenvectors are L's columns
     lam = np.sum(whiten**2, axis=1)
-    if k == p:
-        values = np.broadcast_to(k0, (m, len(m4))).copy()
-        gram = np.linalg.det(bases)[:, None] ** 2
-    else:
+    lam_product = np.prod(lam, axis=1)
+    if k < p:
         q0, scale0 = _eigen_factor(s.mean(axis=0))
-        normal = (np.cross(bases[:, 0], bases[:, 1]) if k == 2
-                  else bases[:, 0] @ ((0.0, -1.0), (1.0, 0.0)))  # exact: (u_2, -u_1)
-        # the columns of the rows m~ = m L0^{-T}, L0^{-T} = Q0 Lambda0^{-1/2}
-        normal = [functools.reduce(np.add, (normal[:, i] * (q0[i, j] / scale0[j])
-                                            for i in range(p))) for j in range(p)]
+        # L0^{-T} = Q0 Lambda0^{-1/2}
+        frame = q0 / scale0
         g = (whiten / lam[:, None, :]).transpose(0, 2, 1) @ (q0 * scale0)
         # the pair coordinates of w w^T, w = G m~, from those of m~ m~^T
         gi, gj = g[:, rows], g[:, cols]
@@ -273,23 +303,41 @@ def _projected_kurtosis(bases: np.ndarray,
         alpha, gamma = ((diag @ m4)[:, None] @ pair)[:, 0], diag @ pair
         quartic = ((pair.transpose(0, 2, 1) @ m4 @ pair)[:, rows2, cols2] - alpha[:, rows2]
                    * gamma[:, cols2] - gamma[:, rows2] * alpha[:, cols2]) * weights2
-        mono = np.stack([normal[i] * normal[j] for i, j in zip(rows, cols)], 1)
-        gram = _forms(mono, gamma.T)
-        values = k0 + _forms(mono[:, rows2] * mono[:, cols2], quartic.T) / gram**2
-    det = gram * np.prod(lam, axis=1)
-    if k == 1:
-        low = high = det
-    elif k == 2:
-        trace = _forms(sum(bases[:, i, rows] * bases[:, i, cols] for i in range(k)),
-                       (s[:, rows, cols] * weights).T)
-        high = trace / 2 + np.sqrt(np.maximum(trace**2 / 4 - det, 0.0))
-        low = det / high
-    else:
-        spectrum = np.linalg.eigvalsh(bases[:, None] @ s @ bases[:, None].swapaxes(-1, -2))
-        low, high = spectrum[..., 0], spectrum[..., -1]
-    ok = (low >= np.finfo(float).tiny) & (high / _MAX_CONDITION < low) & np.isfinite(values)
-    values[~ok] = np.nan
-    return values
+        gamma, quartic = np.ascontiguousarray(gamma.T), np.ascontiguousarray(quartic.T)
+    if k == 2:
+        trace_coefficients = np.ascontiguousarray((s[:, rows, cols] * weights).T)
+
+    @_QUIET
+    def evaluate(bases: np.ndarray) -> np.ndarray:
+        if k == p:
+            values = np.broadcast_to(k0, (len(bases), len(m4))).copy()
+            gram = np.linalg.det(bases)[:, None] ** 2
+        else:
+            normal = (np.cross(bases[:, 0], bases[:, 1]) if k == 2
+                      else bases[:, 0] @ ((0.0, -1.0), (1.0, 0.0)))  # exact: (u_2, -u_1)
+            # the columns of the rows m~ = m L0^{-T}
+            normal = [functools.reduce(np.add, (normal[:, i] * frame[i, j] for i in range(p)))
+                      for j in range(p)]
+            mono = np.stack([normal[i] * normal[j] for i, j in zip(rows, cols)], 1)
+            gram = _forms(mono, gamma)
+            values = k0 + _forms(mono[:, rows2] * mono[:, cols2], quartic) / gram**2
+        det = gram * lam_product
+        if k == 1:
+            low = high = det
+        elif k == 2:
+            trace = _forms(sum(bases[:, i, rows] * bases[:, i, cols] for i in range(k)),
+                           trace_coefficients)
+            high = trace / 2 + np.sqrt(np.maximum(trace**2 / 4 - det, 0.0))
+            low = det / high
+        else:
+            spectrum = np.linalg.eigvalsh(bases[:, None] @ s @ bases[:, None].swapaxes(-1, -2))
+            low, high = spectrum[..., 0], spectrum[..., -1]
+        ok = ((low >= np.finfo(float).tiny) & (high / _MAX_CONDITION < low)
+              & np.isfinite(values))
+        values[~ok] = np.nan
+        return values
+
+    return evaluate
 
 
 def _mardia_batch(batch: np.ndarray) -> np.ndarray:

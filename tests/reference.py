@@ -25,6 +25,21 @@ def direct_kurtosis(batch):
     return values, ok
 
 
+def fsum_fourth_moments(x, whiten):
+    """S and M4 of ``kurtosis._fourth_moments`` for one sample ``x`` (p, N),
+    the plain way: center by the ``math.fsum`` mean, scale by the power of
+    two of ``kurtosis._unit_scale``, and sum every entry of S = x x^T / N and
+    of M4 = w w^T / N by ``math.fsum``, where w holds the pair products
+    y_i y_j, i <= j, of y = L^{-1} x for the given whitening factor L."""
+    n = x.shape[1]
+    x = np.array([row - math.fsum(row) / n for row in x])
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    rows, cols, _ = _pairs(len(x))
+    y = np.linalg.solve(whiten, x)
+    w = y[rows] * y[cols]
+    return tuple(np.array([[math.fsum(a * b) / n for b in v] for a in v]) for v in (x, w))
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def eigh_projected_kurtosis(bases, moments):
     """``kurtosis._projected_kurtosis`` by the general contraction: one

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -57,24 +58,24 @@ def _var1_surrogate(p, max_lag, n=120):
 # float.hex of calibrate_null's (mean, variance, se_mean, se_variance) on
 # the surrogates of TestCalibrateNull.test_pinned_values, keyed by (p, R)
 _PINNED = {
-    (1, 100): ('0x1.72be38b2b220fp+1', '0x1.b9b01cd069796p-4',
-               '0x1.0d0273945a77bp-5', '0x1.cdb6270ef039bp-7'),
-    (1, 257): ('0x1.77225d9c5c3b1p+1', '0x1.03690fb5c27d4p-3',
-               '0x1.6bbb84245b0f0p-6', '0x1.eb8ad9c2f69c5p-7'),
+    (1, 100): ('0x1.72be38b2b2211p+1', '0x1.b9b01cd0697a0p-4',
+               '0x1.0d0273945a77ep-5', '0x1.cdb6270ef03b9p-7'),
+    (1, 257): ('0x1.77225d9c5c3b1p+1', '0x1.03690fb5c27d0p-3',
+               '0x1.6bbb84245b0edp-6', '0x1.eb8ad9c2f69b0p-7'),
     (1, 2000): ('0x1.77eca2f52775ep+1', '0x1.0a9a20a9a12a8p-3',
-                '0x1.085d1713a71b8p-7', '0x1.a454287e16aa5p-8'),
-    (2, 100): ('0x1.f1ebf183496e1p+2', '0x1.3a711ff2c6245p-2',
-               '0x1.c5f3c63cd1830p-5', '0x1.63806de1dfdbbp-5'),
-    (2, 257): ('0x1.fcb48e0f9e263p+2', '0x1.709155c495210p-2',
-               '0x1.32925a4f6d738p-5', '0x1.c11a1ed00a0d6p-6'),
-    (2, 2000): ('0x1.f5f238be3eecdp+2', '0x1.4a5fb9b1d4ff2p-2',
-                '0x1.a02fb53c0280bp-7', '0x1.91ad9aecdf12ep-7'),
-    (3, 100): ('0x1.d5c4ec7d893d6p+3', '0x1.d4290bdd6c088p-2',
-               '0x1.14f42a255a5c2p-4', '0x1.267c693fea899p-4'),
-    (3, 257): ('0x1.d75190b257b9ep+3', '0x1.48c7f073b2c6fp-1',
-               '0x1.997d11d0bb7edp-5', '0x1.3bfd61dd42c7ep-4'),
-    (3, 2000): ('0x1.d5f0f459543a3p+3', '0x1.3075e3663f129p-1',
-                '0x1.1a82d432eeb7dp-6', '0x1.54ca313474fb6p-6'),
+                '0x1.085d1713a71b8p-7', '0x1.a454287e16aa2p-8'),
+    (2, 100): ('0x1.f1ebf183496e3p+2', '0x1.3a711ff2c6259p-2',
+               '0x1.c5f3c63cd183ep-5', '0x1.63806de1dfe05p-5'),
+    (2, 257): ('0x1.fcb48e0f9e261p+2', '0x1.709155c49521ap-2',
+               '0x1.32925a4f6d73cp-5', '0x1.c11a1ed00a0fdp-6'),
+    (2, 2000): ('0x1.f5f238be3eecdp+2', '0x1.4a5fb9b1d4ff3p-2',
+                '0x1.a02fb53c0280cp-7', '0x1.91ad9aecdf12ap-7'),
+    (3, 100): ('0x1.d5c4ec7d893d3p+3', '0x1.d4290bdd6c072p-2',
+               '0x1.14f42a255a5bcp-4', '0x1.267c693fea887p-4'),
+    (3, 257): ('0x1.d75190b257b9ep+3', '0x1.48c7f073b2c76p-1',
+               '0x1.997d11d0bb7f1p-5', '0x1.3bfd61dd42c77p-4'),
+    (3, 2000): ('0x1.d5f0f459543a2p+3', '0x1.3075e3663f129p-1',
+                '0x1.1a82d432eeb7dp-6', '0x1.54ca313474fc2p-6'),
 }
 
 
@@ -430,6 +431,61 @@ class TestDrawReduced:
         assert [str(err) for err in errors] == ["slab transform failed"]
         assert 3 <= len(calls) <= 3 + _IN_FLIGHT < 2000 // (2 * _SLAB)
         assert threading.active_count() == before
+
+    def test_failed_segment_stops_the_other_segments(self, monkeypatch):
+        # one task per segment: the second of eight calibrate_null chunks
+        # fails at its first slab, which runs on the pool worker while the
+        # caller runs a later chunk; the error reaches the caller, and the
+        # running and queued segments stop before their next slab, short of
+        # the 8 slabs a segment has
+        segments = [(RngStream(97).substream(i), _CHUNK) for i in range(8)]
+        second = segments[1][0].generator().standard_normal()
+        calls, failed = [], []
+
+        def failing(surrogate, real, imag, out):
+            calls.append(threading.current_thread())
+            if real[0, 0, 0] == second:
+                failed.append(len(calls))
+                raise RuntimeError("segment transform failed")
+            return _transform_slab(surrogate, real, imag, out)
+
+        monkeypatch.setattr("depnorm.calibrate._transform_slab", failing)
+        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: 2)
+        sur = GaussianSurrogate(_ar1_cov(0.5, 20, p=2), 150)
+        before = threading.active_count()
+        errors = []
+
+        def run():
+            try:
+                _draw_reduced(sur, segments)
+            except RuntimeError as err:
+                errors.append(err)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert [str(err) for err in errors] == ["segment transform failed"]
+        assert len(failed) == 1 and calls[failed[0] - 1] is not runner
+        assert len(calls) - failed[0] <= 3 + _IN_FLIGHT < _CHUNK // (2 * _SLAB)
+        assert threading.active_count() == before
+
+    def test_calibration_peak_does_not_grow_with_replicates(self, monkeypatch):
+        # two threads run one chunk each, whatever the chunk count: from 2 to
+        # 8 chunks the peak grows by the moments of the added replicates,
+        # 0.2 MB, not by a chunk's 4.1 MB of real normals
+        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: 2)
+        lags = 0.6 ** np.arange(1000)[:, None, None] * (0.6 * np.eye(2) + 0.4)
+        sur = GaussianSurrogate(CovarianceSequence(lags), 1000)
+        peaks = []
+        for replicates in (512, 2000):
+            tracemalloc.start()
+            try:
+                calibrate_null(sur, CalibrationBudget(replicates=replicates, seed=RngStream(7)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6
 
 
 class TestRunTasks:

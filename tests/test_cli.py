@@ -66,6 +66,17 @@ class TestTest:
         }
         assert 0.0 <= payload["p_value"] <= 1.0
 
+    @pytest.mark.parametrize("kind,dim,rc", [("iid", 2, 0), ("colored1", 1, 0), ("colored2", 2, 2)])
+    def test_calib_reps_checked_only_where_drawn(self, tmp_path, capsys, kind, dim, rc):
+        # iid and colored1 draw nothing, so too few replicates is no error there
+        out = tmp_path / "d.csv"
+        main(["generate", "--family", "clayton", "--dim", str(dim),
+              "--len", "400", "--seed", "5", "--out", str(out)])
+        assert main(["test", "--in", str(out), "--kind", kind, "--calib-reps", "50"]) == rc
+        err = capsys.readouterr().err
+        assert err == ("" if rc == 0
+                       else "error: moment estimates need at least 100 replicates\n")
+
     def test_human_readable_line(self, tmp_path, capsys):
         out = _generate(tmp_path)
         rc = main(["test", "--in", str(out), "--kind", "iid"])

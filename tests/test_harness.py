@@ -34,59 +34,59 @@ CLAYTON = ArchimedeanFamily.clayton()
 _PINNED = {
     (2, 1, None): {
         'colored1': (
-            '0x1.6625606a99c8ap-41', '0x1.67250d6c64174p-1', '0x1.2161ced7e8451p-3',
-            '0x1.6caa0ec8fea90p-3', '0x1.5850b5e4a8be4p-1', '0x1.95f05a95b2651p-40',
-            '0x1.25d885c899c2ap-4', '0x1.fe36b7a761493p-35',
+            '0x1.6625606a9aa56p-41', '0x1.67250d6c6412cp-1', '0x1.2161ced7e85a0p-3',
+            '0x1.6caa0ec8febd4p-3', '0x1.5850b5e4a8c7ap-1', '0x1.95f05a95b35fbp-40',
+            '0x1.25d885c899c2ap-4', '0x1.fe36b7a762440p-35',
         ),
         'iid': (
-            '0x1.18e407dca603bp-68', '0x1.4568ff60f1f1ap-1', '0x1.0cbb7870aa340p-3',
-            '0x1.4b27a3f434d9cp-3', '0x1.4d38767551c0cp-1', '0x1.16ec1be09a093p-58',
-            '0x1.3862dd9485e76p-4', '0x1.3c587b32cb15ep-77',
+            '0x1.18e407dca7381p-68', '0x1.4568ff60f1ed0p-1', '0x1.0cbb7870aa47dp-3',
+            '0x1.4b27a3f434ed0p-3', '0x1.4d38767551ca0p-1', '0x1.16ec1be09b120p-58',
+            '0x1.3862dd9485e76p-4', '0x1.3c587b32cc826p-77',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
     (2, 1, 30): {
         'colored1': (
-            '0x1.c761e0ebdba89p-41', '0x1.58a985e1ace2ap-1', '0x1.13d47bc44fc60p-3',
-            '0x1.5ab58fd49ca94p-3', '0x1.504ac5fdf2af8p-1', '0x1.03e06c0c88b64p-39',
-            '0x1.35097c8c722c6p-4', '0x1.42dbc30a48899p-34',
+            '0x1.c761e0ebdcc4ep-41', '0x1.58a985e1acde1p-1', '0x1.13d47bc44fda0p-3',
+            '0x1.5ab58fd49cbd8p-3', '0x1.504ac5fdf2b8ep-1', '0x1.03e06c0c8955ap-39',
+            '0x1.35097c8c722c6p-4', '0x1.42dbc30a49243p-34',
         ),
         'iid': (
-            '0x1.18e407dca603bp-68', '0x1.4568ff60f1f1ap-1', '0x1.0cbb7870aa340p-3',
-            '0x1.4b27a3f434d9cp-3', '0x1.4d38767551c0cp-1', '0x1.16ec1be09a093p-58',
-            '0x1.3862dd9485e76p-4', '0x1.3c587b32cb15ep-77',
+            '0x1.18e407dca7381p-68', '0x1.4568ff60f1ed0p-1', '0x1.0cbb7870aa47dp-3',
+            '0x1.4b27a3f434ed0p-3', '0x1.4d38767551ca0p-1', '0x1.16ec1be09b120p-58',
+            '0x1.3862dd9485e76p-4', '0x1.3c587b32cc826p-77',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
     (3, 2, None): {
         'colored2': (
-            '0x1.3123765acc67ep-15', '0x1.3332f711d112bp-27', '0x1.166d87600a406p-20',
-            '0x1.03e9e7e73de5cp-20', '0x1.67f41e96129f8p-58', '0x1.99d37dc34c7b2p-39',
-            '0x1.783e1ddec81fcp-7', '0x1.04386cc580fddp-10',
+            '0x1.3123765acbeffp-15', '0x1.3332f711d1592p-27', '0x1.166d87600a54ap-20',
+            '0x1.03e9e7e73e0b1p-20', '0x1.67f41e9612e99p-58', '0x1.99d37dc34cc49p-39',
+            '0x1.783e1ddec80dcp-7', '0x1.04386cc580f58p-10',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
     (3, 2, 30): {
         'colored2': (
-            '0x1.2246f2298f113p-13', '0x1.8abc0aaa6d0efp-27', '0x1.13d2bb7dbca08p-20',
-            '0x1.60c653c7fbeacp-20', '0x1.0d1ff831f08cap-44', '0x1.07c2ea1862d2fp-35',
-            '0x1.35b3937429e54p-7', '0x1.e488c7aaa3b4bp-11',
+            '0x1.2246f2298eb18p-13', '0x1.8abc0aaa6ccc4p-27', '0x1.13d2bb7dbc876p-20',
+            '0x1.60c653c7fbdbap-20', '0x1.0d1ff831efe1ap-44', '0x1.07c2ea1862b58p-35',
+            '0x1.35b3937429dc0p-7', '0x1.e488c7aaa383ap-11',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
     (2, 2, None): {
         'colored2': (
-            '0x1.1c0cabc53f566p-29', '0x1.1c0cabc53f566p-29', '0x1.1c0cabc53f566p-29',
-            '0x1.1c0cabc53f566p-29', '0x1.1c0cabc53f566p-29', '0x1.1c0cabc53f566p-29',
-            '0x1.1c0cabc53f566p-29', '0x1.1c0cabc53f566p-29',
+            '0x1.1c0cabc53faa9p-29', '0x1.1c0cabc53faa9p-29', '0x1.1c0cabc53faa9p-29',
+            '0x1.1c0cabc53faa9p-29', '0x1.1c0cabc53faa9p-29', '0x1.1c0cabc53faa9p-29',
+            '0x1.1c0cabc53faa9p-29', '0x1.1c0cabc53faa9p-29',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },
     (2, 2, 30): {
         'colored2': (
-            '0x1.5161ac72dcdc3p-26', '0x1.5161ac72dcdc3p-26', '0x1.5161ac72dcdc3p-26',
-            '0x1.5161ac72dcdc3p-26', '0x1.5161ac72dcdc3p-26', '0x1.5161ac72dcdc3p-26',
-            '0x1.5161ac72dcdc3p-26', '0x1.5161ac72dcdc3p-26',
+            '0x1.5161ac72dd9e6p-26', '0x1.5161ac72dd9e6p-26', '0x1.5161ac72dd9e6p-26',
+            '0x1.5161ac72dd9e6p-26', '0x1.5161ac72dd9e6p-26', '0x1.5161ac72dd9e6p-26',
+            '0x1.5161ac72dd9e6p-26', '0x1.5161ac72dd9e6p-26',
         ),
         'valid': (True, True, True, True, True, True, True, True),
     },

@@ -32,11 +32,12 @@ from depnorm import (
     two_sided_p_value,
 )
 from depnorm.copula import ar1_filter
-from depnorm.kurtosis import (KurtosisValue, _fourth_moments, _null_moments, _pairs,
+from depnorm.kurtosis import (_SUM_PART, KurtosisValue, _fourth_moments, _null_moments, _pairs,
                               _projected_kurtosis, _source_covariance)
 from depnorm.projection import (Direction1D, Plane2D, rotation_matrix, sample_direction,
                                 sample_plane, sample_rotation)
-from reference import direct_colored1_moments, direct_kurtosis, eigh_projected_kurtosis
+from reference import (direct_colored1_moments, direct_kurtosis, eigh_projected_kurtosis,
+                       fsum_fourth_moments)
 
 
 def _scalar_cov(ratios, s0=1.0):
@@ -188,6 +189,47 @@ class TestProjectedKurtosis:
         for i in range(r):
             for got, single in zip(whole, _fourth_moments(batch[i : i + 1])):
                 np.testing.assert_array_equal(got[i], single[0])
+
+
+class TestReductionKernels:
+    """The einsum products of ``_reduce_block`` against plain sums."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("cond", [1.0, 1e8])
+    @pytest.mark.parametrize("n", [400, 2 * _SUM_PART + 5])
+    def test_matches_fsum_reference(self, p, cond, n):
+        # Bounds, in eps, that hold whatever the rounding's luck: an N-term
+        # sum is within N eps of the sum of its terms' magnitudes, which
+        # Cauchy-Schwarz bounds by sqrt(S_ii S_jj); L L^T = S holds to eigh's
+        # backward error, a few eps of ||S||, inside that; M4 also carries
+        # the whitening y = L^{-1} x, rounded at sqrt(cond) eps relative in
+        # kernel and reference alike. Measured: S within 14 eps, L L^T
+        # within 6 eps, M4 within 14 eps at cond 1 and 0.6 sqrt(cond) eps at
+        # cond 1e8. The longer n spans three of einsum's parts.
+        eps = np.finfo(float).eps
+        batch = _mixed_batch(RngStream(35).generator(), p, cond, r=2, n=n)
+        s, whiten, m4 = _fourth_moments(batch)
+        for r, x in enumerate(batch):
+            s_ref, m4_ref = fsum_fourth_moments(x, whiten[r])
+            scale = np.sqrt(np.outer(np.diag(s_ref), np.diag(s_ref)))
+            assert np.all(np.abs(s[r] - s_ref) <= 2 * n * eps * scale)
+            norm = np.linalg.norm(s_ref, 2)
+            assert np.abs(whiten[r] @ whiten[r].T - s_ref).max() <= 2 * n * eps * norm
+            tol = (2 * n + 16 * math.sqrt(cond)) * eps * np.abs(m4_ref).max()
+            assert np.abs(m4[r] - m4_ref).max() <= tol
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n, sizes", [(1000, (1, 32, 500)), (2 * _SUM_PART + 5, (1, 2, 32))])
+    def test_rows_do_not_depend_on_the_batch(self, p, n, sizes):
+        # a sample's rows, reduced alone, in a slab or in a whole batch; a
+        # long sample is summed in the same parts whatever the batch
+        batch = _mixed_batch(RngStream(36).generator(), p, 10.0, r=max(sizes), n=n)
+        whole = _fourth_moments(batch)
+        for size in sizes:
+            for start in (0, max(sizes) - size):
+                part = _fourth_moments(batch[start : start + size])
+                for got, want in zip(part, whole):
+                    assert got.tobytes() == want[start : start + size].tobytes()
 
 
 # A batch of bases from angle arrays, one basis per angle, for each
