@@ -14,19 +14,13 @@ errors, evaluating the projections in fixed blocks of ``_BASIS_BLOCK``.
 its M projections.
 
 Every Monte Carlo draw runs through one pipeline, :func:`_draw_reduced`,
-which lays the replicates of (RNG stream, count) segments end to end. It
-works in slabs of ``_SLAB`` complex draws: :func:`_transform_slab`, shared
-with :func:`simulate_gaussian_batch`, mixes them one draw at a time in
-cache and inverse-transforms the slab, and ``kurtosis._reduce_block``
-reduces it with products that release the GIL. :func:`calibrate_null` has
+which lays the replicates of (RNG stream, count) segments end to end and
+transforms (:func:`_transform_slab`) and reduces them in slabs of ``_SLAB``
+complex draws, as tasks on :func:`_run_tasks`. :func:`calibrate_null` has
 one segment per chunk of ``_CHUNK`` replicates, each from its own RNG
-substream, and one task per segment, so that both threads also draw
-normals; the study harness has one segment of all its replicates and one
-task per slab. The tasks run on :func:`_run_tasks`: the calling thread
-takes them in order, and it and at most ``_MAX_WORKERS - 1`` pool workers
-run them while numpy releases the GIL. Each task writes its own rows of
-preallocated moments, so the result is the same bit for bit on any number
-of CPUs.
+substream; the study harness has one segment of all its replicates. Each
+task writes its own rows of preallocated moments, so the result is the
+same bit for bit on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -52,7 +46,8 @@ from .core import (
     _check_counts,
     next_fast_len,
 )
-from .kurtosis import _DEGENERATE_MESSAGE, _check_length, _empty_moments, _projector, _reduce_block
+from .kurtosis import (_DEGENERATE_MESSAGE, _check_length, _empty_moments, _Null, _projector,
+                       _reduce_block)
 
 __all__ = [
     "CalibrationBudget",
@@ -148,9 +143,8 @@ class GaussianSurrogate:
             logger.info("clipped negative spectral mass: %.3g of spectral norm",
                         self.clipping_norm)
         w = np.clip(w, 0.0, None)
-        self._factor = v * np.sqrt(w)[:, None, :]  # B with B @ B^H = spec
-        # B as (p, p, K), so that the mix reads each entry's K values in a row
-        self._factor_rows = np.ascontiguousarray(self._factor.transpose(1, 2, 0))
+        # B with B @ B^H = spec, as (p, p, K) so that the mix reads each entry's K values in a row
+        self._factor_rows = np.ascontiguousarray((v * np.sqrt(w)[:, None, :]).transpose(1, 2, 0))
         self._k = k
         self.p = p
 
@@ -318,32 +312,32 @@ class CalibrationResult:
 
 
 def _replicate_moments(bases: np.ndarray,
-                       null: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Mean, variance, se_mean and se_variance of the statistic of each
-    projection U z over the replicates z, shape (4, M), from the M bases
-    (M, k, p) and the ``kurtosis._fourth_moments`` reduction ``null`` of the
-    replicates, evaluated in blocks of ``_BASIS_BLOCK``: a column is that of
-    a call with its basis alone, bit for bit.
+                       null: tuple[np.ndarray, np.ndarray, np.ndarray]) -> _Null:
+    """The ``kurtosis._Null`` of the statistic of each projection U z over the
+    replicates z, from the M bases (M, k, p) and the ``_fourth_moments``
+    reduction ``null`` of the replicates, evaluated in blocks of
+    ``_BASIS_BLOCK``: each projection's moments are bit for bit those of a
+    call with its basis alone.
 
     Each block's moments are two-pass numpy reductions over its (M, R)
     values. The SE of the sample variance uses the empirical fourth central
     moment, Var(s^2) = (m4 - s^4 (R-3)/(R-1)) / R, which matters because
-    kurtosis statistics are themselves skewed and heavy-tailed. A column is
-    NaN where the projection of any replicate is degenerate, since the
-    reductions carry that replicate's NaN value into every moment.
+    kurtosis statistics are themselves skewed and heavy-tailed. A
+    projection's moments are NaN where that of any replicate is degenerate,
+    since the reductions carry the replicate's NaN value into every moment.
     """
-    out = np.empty((4, len(bases)))
+    r = len(null[0])
     projected_kurtosis = _projector(null, *bases.shape[1:])
+    blocks = []
     for start in range(0, len(bases), _BASIS_BLOCK):
         values = projected_kurtosis(bases[start : start + _BASIS_BLOCK])
-        r = values.shape[1]
         mean = values.mean(axis=1)
         sq = (values - mean[:, None]) ** 2
         variance = np.sum(sq, axis=1) / (r - 1)
         m4 = np.mean(sq**2, axis=1)
         se_var = np.sqrt(np.maximum(m4 - variance**2 * (r - 3) / (r - 1), 0.0) / r)
-        out[:, start : start + len(values)] = mean, variance, np.sqrt(variance / r), se_var
-    return out
+        blocks.append((mean, variance, np.sqrt(variance / r), se_var))
+    return _Null(*map(np.concatenate, zip(*blocks)), r)
 
 
 def _usable_cpus() -> int:
@@ -368,9 +362,10 @@ def calibrate_null(surrogate: GaussianSurrogate,
     _check_length(surrogate.p, surrogate.n, "calibration")
     budget = budget or CalibrationBudget()
     r = budget.replicates
-    null = _draw_reduced(surrogate, [(budget.seed.substream(i), min(_CHUNK, r - start))
-                                     for i, start in enumerate(range(0, r, _CHUNK))])
-    moments = _replicate_moments(np.eye(surrogate.p)[None], null)[:, 0]
-    if not np.isfinite(moments[0]):
+    moments = _draw_reduced(surrogate, [(budget.seed.substream(i), min(_CHUNK, r - start))
+                                        for i, start in enumerate(range(0, r, _CHUNK))])
+    null = _replicate_moments(np.eye(surrogate.p)[None], moments)
+    if not np.isfinite(null.mean[0]):
         raise DegenerateSampleError(_DEGENERATE_MESSAGE)
-    return CalibrationResult(*map(float, moments), r, surrogate.clipping_norm)
+    return CalibrationResult(float(null.mean[0]), float(null.variance[0]), float(null.se_mean[0]),
+                             float(null.se_variance[0]), r, surrogate.clipping_norm)

@@ -15,21 +15,13 @@ formula gives every projection's statistic (``kurtosis._projected_kurtosis``),
 and to its covariance sequence S(tau) (``kurtosis._source_covariance``).
 
 ``kurtosis._null_moments`` gives the null of every projection from S(tau),
-as it does for ``run_test``. The colored scalar lag sums of a line u are
-a quadratic and a quartic form in the coefficients of v v^T, v = uL for
-the whitening factor L of S(0), contracted against two lag-moment tensors
-of the whitened S(tau) (``kurtosis._scalar_lag_sums``), so no projected
-sequence u S(tau) u^T is formed. The calibrated bivariate null draws one
-batch of source-dimension Gaussian replicates matched to S(tau). Projected
-by U, the batch is a Gaussian process with covariance sequence
-U S(tau) U^T, the law a per-projection surrogate would have. It is drawn
-and reduced slab by slab on a thread pool (``calibrate._draw_reduced``),
-bit-identical to reducing the whole batch, and the same formula gives the
-statistics of the bases in fixed blocks (``calibrate._replicate_moments``),
-so a realization's peak memory does not grow with M. It does grow with the
-replicate count: the stream layout draws the real normals of every
-replicate, (R/2, K, p), on the calling thread before the first slab, while
-the pool idles: 12 MB of a peak near 25 MB at N=1000, p=3 and R=500.
+and ``kurtosis._decide`` its z and p-value, as they do for ``run_test``.
+The calibrated bivariate null draws one batch of source-dimension Gaussian
+replicates matched to S(tau): projected by U, it is a Gaussian process with
+covariance sequence U S(tau) U^T, the law a per-projection surrogate would
+have. The batch is drawn and reduced slab by slab
+(``calibrate._draw_reduced``), and its statistics are contracted in fixed
+blocks of bases (``calibrate._replicate_moments``).
 """
 
 from __future__ import annotations
@@ -53,12 +45,13 @@ from .core import center  # noqa: F401  (perfbench/tracing.py patches it here)
 from .core import sample_cross_covariance  # noqa: F401  (perfbench/tracing.py patches it here)
 from .kurtosis import (
     TestKind,
+    _decide,
     _fourth_moments,
     _null_moments,
     _projected_kurtosis,
     _source_covariance,
     iid_null_moments,  # noqa: F401  (perfbench/tracing.py patches it here)
-    two_sided_p_value,
+    two_sided_p_value,  # noqa: F401  (perfbench/tracing.py patches it here)
 )
 from .projection import rotation_matrix  # noqa: F401  (perfbench/tracing.py patches it here)
 from .projection import sample_direction, sample_plane
@@ -335,22 +328,19 @@ def _run_realization(cfg: ExperimentConfig, r: int, stream: RngStream):
     bases = _draw_bases(cfg, stream.substream(_ANGLES, r).generator())
 
     b_data = _projected_kurtosis(bases, _fourth_moments(x.data[None]))[:, 0]
-    valid = np.isfinite(b_data)
 
     def calibrate(surrogate):
         # one batch of source replicates serves the null of every projection
         return _replicate_moments(bases, _draw_reduced(
             surrogate, [(stream.substream(_SURROGATE, r), cfg.calib_replicates)]))
 
-    pvalues: dict[TestKind, np.ndarray] = {}
-    for kind in cfg.tests:
-        mean, var, _, _ = _null_moments(kind, bases, cov, cfg.n, calibrate)
-        valid &= np.isfinite(mean)
-        z = (b_data - mean) / np.sqrt(var)
-        # a 2->2 realization's one test counts for each of its M rotations
-        pvalues[kind] = np.broadcast_to(two_sided_p_value(z), cfg.m)
-
-    return pvalues, np.broadcast_to(valid, cfg.m)
+    pvalues = {kind: _decide(b_data, _null_moments(kind, bases, cov, cfg.n, calibrate))[1]
+               for kind in cfg.tests}
+    # NaN where the statistic or any null is degenerate
+    valid = np.all([np.isfinite(pv) for pv in pvalues.values()], axis=0)
+    # a 2->2 realization's one test counts for each of its M rotations
+    return ({kind: np.broadcast_to(pv, cfg.m) for kind, pv in pvalues.items()},
+            np.broadcast_to(valid, cfg.m))
 
 
 def run_experiment(cfg: ExperimentConfig) -> RejectionRateReport:

@@ -22,11 +22,11 @@ normal m is B_p of the source plus a quartic form in m over the square of
 a quadratic one, and the term vanishes at full rank, so B_p is the same
 for every rotation of a sample (Mardia 1970).
 
-:func:`_null_moments` is the one place that computes each kind's null, for
-every projection U x of a sample at once; :func:`run_test` is its
+:func:`_null_moments` computes each kind's null, and :func:`_decide` turns
+statistics and their null into z and p-values, each in one place and for
+every projection U x of a sample at once: :func:`run_test` is their
 identity-basis case, and the study harness passes its M projections. NaN
-is the one marker of a degenerate projection, in the statistic and in the
-null alike.
+marks a degenerate projection, in the statistic, the null and the p-value.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import enum
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -106,6 +106,20 @@ class KurtosisValue:
         # Cauchy-Schwarz: the average of q^2 is at least (avg q)^2 = p^2 >= p.
         if self.value < self.p * (1.0 - 1e-9):
             raise ValueError(f"kurtosis {self.value} below the lower bound p={self.p}")
+
+
+@dataclass(frozen=True)
+class _Null:
+    """Null of the statistic of M projections: (M,) means, variances and
+    their SEs (SEs 0 for a closed form, NaN where degenerate), and a Monte
+    Carlo null's replicate count and surrogate clipping norm (else 0)."""
+
+    mean: np.ndarray
+    variance: np.ndarray
+    se_mean: np.ndarray
+    se_variance: np.ndarray
+    replicates: int = 0
+    clipping_norm: float = 0.0
 
 
 # A zero, overflowing or singular S gives NaN or inf in _reduce_block, and
@@ -360,39 +374,40 @@ _SOURCES = {TestKind.MARDIA_IID: MomentSource.IID_CLOSED_FORM,
 
 
 def _null_moments(kind: TestKind, bases: np.ndarray, cov: CovarianceSequence | None,
-                  n: int, calibrate=None) -> np.ndarray:
-    """Null mean, variance, se_mean and se_variance of the statistic of each
-    projection U x of a sample x of length N, shape (4, M), from the M bases
-    U (M, k, p) and the lags of x up to N-1 in ``cov`` (unused by
-    ``MARDIA_IID``). The SEs of the closed forms are 0; NaN marks a
-    degenerate null.
+                  n: int, calibrate=None) -> _Null:
+    """The :class:`_Null` of the statistic of each projection U x of a
+    sample x of length N, from the M bases U (M, k, p) and the lags of x up
+    to N-1 in ``cov`` (unused by ``MARDIA_IID``).
 
     * ``MARDIA_IID``: mean k(k+2)(N-1)/(N+1), variance 8k(k+2)/N.
     * ``COLORED_SCALAR``: with s(tau) = u S(tau) u^T, NaN where s(0) <= 0,
       mean = 3 - 6/N - (12/N^2) sum_{tau>=1} (N-tau) s(tau)^2 / s(0)^2 and
       var = (24/N) [1 + (2/N) sum_{tau>=1} (N-tau) s(tau)^4 / s(0)^4];
       asymptotic (o(1/N) dropped), and with an all-zero tail the i.i.d.
-      case up to O(1/N^2) in the mean. The lag sums are quadratic forms,
-      in the pair coordinates of the M lines held as one (d, M) array, of
-      two matrices of the whitened source lags (:func:`_scalar_lag_sums`),
-      so no projection's sequence s(tau) and no (M, L+1) array is formed.
+      case up to O(1/N^2) in the mean. The lag sums are contracted from
+      the whitened source lags (:func:`_scalar_lag_sums`), so no
+      projection's sequence s(tau) and no (M, L+1) array is formed.
     * ``COLORED_BIVARIATE``: ``calibrate`` maps the Gaussian surrogate of
-      ``cov`` to the Monte Carlo moments (closed forms exist only as leading
-      terms, 8 - 16/N and 64/N plus lag corrections).
+      ``cov`` to the Monte Carlo moments of the M projections (closed forms
+      exist only as leading terms, 8 - 16/N and 64/N plus lag corrections):
+      a :class:`_Null`, or for one projection ``calibrate_null``'s
+      ``CalibrationResult``, whose fields have the same names.
     """
     m, k = bases.shape[:2]
+    zero = np.zeros(m)
     if kind == TestKind.MARDIA_IID:
-        mean, var = k * (k + 2) * (n - 1) / (n + 1), 8.0 * k * (k + 2) / n
-        return np.repeat([[mean], [var], [0.0], [0.0]], m, axis=1)
+        return _Null(np.full(m, k * (k + 2) * (n - 1) / (n + 1)),
+                     np.full(m, 8.0 * k * (k + 2) / n), zero, zero)
     cov = cov.truncated(resolve_max_lag(cov.max_lag, n))
     if kind == TestKind.COLORED_BIVARIATE:
         from .calibrate import GaussianSurrogate
-        return calibrate(GaussianSurrogate(cov, n))
+        surrogate = GaussianSurrogate(cov, n)
+        null = calibrate(surrogate)
+        return _Null(*np.atleast_1d(null.mean, null.variance, null.se_mean, null.se_variance),
+                     null.replicates, surrogate.clipping_norm)
     sum2, sum4 = _scalar_lag_sums(bases[:, 0], cov.lags, n)
-    out = np.zeros((4, m))
-    out[0] = 3.0 - 6.0 / n - (12.0 / n**2) * sum2
-    out[1] = (24.0 / n) * (1.0 + (2.0 / n) * sum4)
-    return out
+    return _Null(3.0 - 6.0 / n - (12.0 / n**2) * sum2,
+                 (24.0 / n) * (1.0 + (2.0 / n) * sum4), zero, zero)
 
 
 def _scalar_lag_sums(u: np.ndarray, lags: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -452,25 +467,19 @@ def _scalar_lag_sums(u: np.ndarray, lags: np.ndarray, n: int) -> tuple[np.ndarra
 def _sample_null(kind: TestKind, p: int, cov: CovarianceSequence | None, n: int,
                  budget=None) -> NullMoments:
     """The identity-basis case of :func:`_null_moments` for one p-variate
-    sample, calibrated by ``calibrate_null`` under ``budget``, with the
-    calibration's standard errors and clipping norm; raises
+    sample, calibrated by ``calibrate_null`` under ``budget``; raises
     ``DegenerateSampleError`` for a degenerate null."""
     from .calibrate import calibrate_null
 
     kind.check_dim(p, n)
-    calibrated = []
-
-    def calibrate(surrogate):
-        calibrated.append(calibrate_null(surrogate, budget))
-        return np.array(astuple(calibrated[0])[:4])[:, None]
-
-    mean, var, se_mean, se_var = _null_moments(kind, np.eye(p)[None], cov, n, calibrate)[:, 0]
-    if not np.isfinite(mean):
+    null = _null_moments(kind, np.eye(p)[None], cov, n,
+                         functools.partial(calibrate_null, budget=budget))
+    if not np.isfinite(null.mean[0]):
         raise DegenerateSampleError(_DEGENERATE_MESSAGE)
-    return NullMoments(float(mean), float(var), _SOURCES[kind],
+    return NullMoments(float(null.mean[0]), float(null.variance[0]), _SOURCES[kind],
                        max_lag=None if cov is None else resolve_max_lag(cov.max_lag, n),
-                       se_mean=float(se_mean), se_variance=float(se_var),
-                       clipping_norm=calibrated[0].clipping_norm if calibrated else 0.0)
+                       se_mean=float(null.se_mean[0]), se_variance=float(null.se_variance[0]),
+                       clipping_norm=null.clipping_norm)
 
 
 def _source_covariance(x: TimeSeriesSample, max_lag: int | None) -> CovarianceSequence:
@@ -508,6 +517,14 @@ def two_sided_p_value(z: float | np.ndarray) -> float | np.ndarray:
     return float(p) if np.ndim(p) == 0 else p
 
 
+def _decide(statistic: float | np.ndarray, null: NullMoments | _Null) -> tuple:
+    """z-scores and two-sided p-values of statistics against their null:
+    floats for the one test of :func:`run_test`, (M,) arrays for the M
+    projections of a study realization; NaN where either is NaN."""
+    z = (statistic - null.mean) / np.sqrt(null.variance)
+    return z, two_sided_p_value(z)
+
+
 def run_test(
     x: TimeSeriesSample,
     kind: TestKind,
@@ -532,8 +549,6 @@ def run_test(
     stat = mardia_kurtosis(x)
     cov = None if kind == TestKind.MARDIA_IID else _source_covariance(x, max_lag)
     moments = _sample_null(kind, x.p, cov, x.n, budget)
-
-    z = (stat.value - moments.mean) / math.sqrt(moments.variance)
-    p_value = two_sided_p_value(z)
-    return TestReport(statistic=stat.value, z=z, p_value=p_value, alpha=alpha,
+    z, p_value = _decide(stat.value, moments)
+    return TestReport(statistic=stat.value, z=float(z), p_value=p_value, alpha=alpha,
                       reject=bool(p_value < alpha), null_moments=moments)

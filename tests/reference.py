@@ -124,7 +124,8 @@ def direct_gaussian_batch(surrogate, rng, count):
     k, p, n = surrogate._k, surrogate.p, surrogate.n
     half = (count + 1) // 2
     xi = gen.standard_normal((half, k, p)) + 1j * gen.standard_normal((half, k, p))
-    z = (surrogate._factor @ xi[..., None])[..., 0]
+    factor = np.ascontiguousarray(surrogate._factor_rows.transpose(2, 0, 1))  # (K, p, p)
+    z = (factor @ xi[..., None])[..., 0]
     z = np.fft.ifft(z, axis=1) * math.sqrt(k)
     out = np.empty((2 * half, p, n))
     out[0::2] = z.real[:, :n, :].transpose(0, 2, 1)

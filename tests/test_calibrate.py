@@ -311,7 +311,8 @@ class TestReplicateMoments:
         bases = np.array(planes)
         null = _fourth_moments(z)
         got = _replicate_moments(bases, null)
-        assert got.shape == (4, len(bases))
+        assert got.replicates == len(z)
+        got = np.array([got.mean, got.variance, got.se_mean, got.se_variance])
         # the estimator against the compensated sums, per projection, on the
         # same values; NaN columns included
         expected = [moments_with_errors(row) for row in _projected_kurtosis(bases, null)]
@@ -337,11 +338,12 @@ class TestReplicateMoments:
         bases = (sample_direction(gen, m).vector()[:, None, :] if p == 2
                  else sample_plane(gen, m).basis())
         null = _fourth_moments(simulate_gaussian_batch(_var1_surrogate(p, 20), RngStream(58), 150))
-        got = _replicate_moments(bases, null)
+        fields = ("mean", "variance", "se_mean", "se_variance")
+        got = np.array([getattr(_replicate_moments(bases, null), f) for f in fields])
         assert np.isfinite(got).all()
         for i in range(m):
             one = _replicate_moments(bases[i : i + 1], null)
-            np.testing.assert_array_equal(got[:, i], one[:, 0])
+            np.testing.assert_array_equal(got[:, i], [getattr(one, f)[0] for f in fields])
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("replicates", [100, 256, 257, 2000])
@@ -358,9 +360,10 @@ class TestReplicateMoments:
                                             min(_CHUNK, replicates - start))
             parts.append(_fourth_moments(batch))
         null = tuple(np.concatenate(arrays) for arrays in zip(*parts))
-        expected = tuple(_replicate_moments(np.eye(p)[None], null)[:, 0])
+        expected = _replicate_moments(np.eye(p)[None], null)
         res = calibrate_null(sur, budget=budget)
-        assert (res.mean, res.variance, res.se_mean, res.se_variance) == expected
+        assert (res.mean, res.variance, res.se_mean, res.se_variance) == (
+            expected.mean[0], expected.variance[0], expected.se_mean[0], expected.se_variance[0])
 
 
 class TestDrawReduced:

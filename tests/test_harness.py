@@ -101,8 +101,8 @@ def _colored1_pvalues(x, bases, max_lag):
     xc = dn.center(TimeSeriesSample(x))
     b = _projected_kurtosis(bases, _fourth_moments(xc.data[None]))[:, 0]
     cov = dn.sample_cross_covariance(xc, max_lag)
-    mean, var, _, _ = _null_moments(TestKind.COLORED_SCALAR, bases, cov, xc.n)
-    return dn.two_sided_p_value((b - mean) / np.sqrt(var))
+    null = _null_moments(TestKind.COLORED_SCALAR, bases, cov, xc.n)
+    return dn.two_sided_p_value((b - null.mean) / np.sqrt(null.variance))
 
 
 def _per_projection_colored2(cfg, r, stream):
@@ -320,6 +320,35 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         assert set(rep.rates) == {"colored2"}
 
+    @pytest.mark.parametrize("where", ["statistic", "null"])
+    def test_a_nan_statistic_or_null_skips_the_projection(self, monkeypatch, where):
+        # projection 3 gets a NaN statistic, or a NaN colored1 null: its
+        # p-value is NaN, and it is skipped for every kind
+        import depnorm.harness as harness
+
+        name = "_projected_kurtosis" if where == "statistic" else "_null_moments"
+        original = getattr(harness, name)
+
+        def with_nan(*args):
+            out = original(*args)
+            if where == "statistic":
+                out[3] = np.nan
+            elif args[0] == TestKind.COLORED_SCALAR:
+                out.mean[3] = np.nan
+            return out
+
+        monkeypatch.setattr(harness, name, with_nan)
+        cfg = _tiny_config(m=8, realizations=1)
+        pvalues, valid = _run_realization(cfg, 0, RngStream(cfg.seed, 0))
+        assert valid.tolist() == [m != 3 for m in range(cfg.m)]
+        assert np.isnan(pvalues[TestKind.COLORED_SCALAR][3])
+        assert np.isnan(pvalues[TestKind.MARDIA_IID][3]) == (where == "statistic")
+        rep = run_experiment(cfg)
+        assert rep.skipped == (1,)
+        assert rep.counts[0] == {kind.value: {f"{a:g}": int(np.sum(pv[valid] < a))
+                                              for a in cfg.alphas}
+                                 for kind, pv in pvalues.items()}
+
     @pytest.mark.parametrize("kind, alpha", [(TestKind.COLORED_SCALAR, 0.01),
                                              (TestKind.COLORED_BIVARIATE, 0.05)])
     def test_rate_the_study_did_not_run(self, kind, alpha):
@@ -477,9 +506,10 @@ class TestProjectionEngine:
             pvalues, valid = _run_realization(cfg, r, stream)
             x = dn.generate(cfg._generator_config(), stream.substream(_DATA, r))
             surrogate = dn.GaussianSurrogate(_source_covariance(x, max_lag), cfg.n)
-            mean, var, _, _ = _replicate_moments(np.eye(2)[None], _draw_reduced(
-                surrogate, [(stream.substream(_SURROGATE, r), cfg.calib_replicates)]))[:, 0]
-            p_value = dn.two_sided_p_value((dn.mardia_kurtosis(x).value - mean) / np.sqrt(var))
+            null = _replicate_moments(np.eye(2)[None], _draw_reduced(
+                surrogate, [(stream.substream(_SURROGATE, r), cfg.calib_replicates)]))
+            p_value = dn.two_sided_p_value((dn.mardia_kurtosis(x).value - null.mean[0])
+                                           / np.sqrt(null.variance[0]))
             assert valid.tolist() == [True] * cfg.m
             assert list(map(float.hex, pvalues[TestKind.COLORED_BIVARIATE])) == \
                 [float.hex(p_value)] * cfg.m, r
@@ -564,15 +594,14 @@ class TestNullSize:
             z_batch = dn.simulate_gaussian_batch(
                 dn.GaussianSurrogate(cov, n), rng.substream(r, 99), 400
             )
-            rej = 0
-            m = 40
-            for _ in range(m):
-                basis = dn.sample_plane(gen).basis()
-                bd = _mardia_batch((basis @ x)[None, :, :])
-                bn = _mardia_batch(np.einsum("kp,rpn->rkn", basis, z_batch))
-                zscore = (bd[0] - bn.mean()) / bn.std(ddof=1)
-                rej += dn.two_sided_p_value(zscore) < 0.05
-            rates.append(rej / m)
+            # 40 planes, each scored from one reduction of the data and one
+            # of the batch (test_colored2_matches_per_projection_loop checks
+            # this path against projecting each copy on its own)
+            bases = dn.sample_plane(gen, 40).basis()
+            bd = _projected_kurtosis(bases, _fourth_moments(x[None]))[:, 0]
+            bn = _projected_kurtosis(bases, _fourth_moments(z_batch))
+            zscore = (bd - bn.mean(axis=1)) / bn.std(axis=1, ddof=1)
+            rates.append(np.mean(dn.two_sided_p_value(zscore) < 0.05))
         assert abs(np.mean(rates) - 0.05) < 0.02
 
 

@@ -17,6 +17,7 @@ from depnorm import (
     GaussianSurrogate,
     GeneratorConfig,
     MomentSource,
+    NullMoments,
     RngStream,
     TestKind,
     TimeSeriesSample,
@@ -32,8 +33,8 @@ from depnorm import (
     two_sided_p_value,
 )
 from depnorm.copula import ar1_filter
-from depnorm.kurtosis import (_SUM_PART, KurtosisValue, _fourth_moments, _null_moments, _pairs,
-                              _projected_kurtosis, _source_covariance)
+from depnorm.kurtosis import (_SUM_PART, KurtosisValue, _decide, _fourth_moments, _Null,
+                              _null_moments, _pairs, _projected_kurtosis, _source_covariance)
 from depnorm.projection import (Direction1D, Plane2D, rotation_matrix, sample_direction,
                                 sample_plane, sample_rotation)
 from reference import (direct_colored1_moments, direct_kurtosis, eigh_projected_kurtosis,
@@ -477,11 +478,12 @@ class TestNullMoments:
         bases = RngStream(97).generator().standard_normal((12, 1, p))
         bases[-1] = 0.0  # s(0) = 0: a degenerate null
         got = _null_moments(TestKind.COLORED_SCALAR, bases, cov, n)
-        assert got.shape == (4, len(bases))
-        for col, u in zip(got.T[:-1], bases):
+        assert (got.se_mean == 0.0).all() and (got.se_variance == 0.0).all()
+        for i, u in enumerate(bases[:-1]):
             ref = colored_scalar_null_moments(CovarianceSequence(u @ cov.lags @ u.T), n)
-            np.testing.assert_allclose(col, [ref.mean, ref.variance, 0.0, 0.0], rtol=1e-12)
-        assert np.isnan(got[:2, -1]).all()
+            np.testing.assert_allclose([got.mean[i], got.variance[i]], [ref.mean, ref.variance],
+                                       rtol=1e-12)
+        assert np.isnan(got.mean[-1]) and np.isnan(got.variance[-1])
 
     @staticmethod
     def _mixed_cov(p, cond, channel, n):
@@ -521,11 +523,12 @@ class TestNullMoments:
         s0 = np.array([u @ cov.lags[0] @ u for u in bases[:, 0]])
         for max_lag in (n - 1, 30, 0):
             lags = cov.truncated(max_lag)
-            got = _null_moments(TestKind.COLORED_SCALAR, bases, lags, n)
+            null = _null_moments(TestKind.COLORED_SCALAR, bases, lags, n)
+            got = np.array([null.mean, null.variance])
             ref = [direct_colored1_moments(u @ lags.lags @ u, n) for u in bases[:, 0]]
-            np.testing.assert_array_equal(np.isnan(got[:2]), [s0 <= 0] * 2)
-            assert np.isnan(got[:2, :1 + (channel == "zero")]).all()
-            np.testing.assert_allclose(got[:2], np.transpose(ref), rtol=1e-9)
+            np.testing.assert_array_equal(np.isnan(got), [s0 <= 0] * 2)
+            assert np.isnan(got[:, :1 + (channel == "zero")]).all()
+            np.testing.assert_allclose(got, np.transpose(ref), rtol=1e-9)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_colored1_memory_does_not_grow_with_lags_times_lines(self, p):
@@ -547,19 +550,27 @@ class TestNullMoments:
         bases = RngStream(101).generator().standard_normal((5, k, p))
         got = _null_moments(TestKind.MARDIA_IID, bases, None, 300)
         ref = iid_null_moments(k, 300)
-        assert got.shape == (4, len(bases))
-        assert (got.T == [ref.mean, ref.variance, 0.0, 0.0]).all()
+        for field, value in [("mean", ref.mean), ("variance", ref.variance),
+                             ("se_mean", 0.0), ("se_variance", 0.0)]:
+            assert getattr(got, field).tolist() == [value] * len(bases)
+        assert (got.replicates, got.clipping_norm) == (0, 0.0)
 
     def test_colored2_calibrates_the_surrogate_of_the_used_lags(self):
         cov = self._source_cov(3, 30)
         bases = np.array([sample_plane(RngStream(103).generator()).basis()] * 4)
         seen = []
+        ones = np.ones(4)
         got = _null_moments(TestKind.COLORED_BIVARIATE, bases, cov, 20,
-                            lambda surrogate: seen.append(surrogate) or np.ones((4, 4)))
-        assert (got == 1.0).all() and len(seen) == 1 and seen[0].n == 20
+                            lambda surrogate: seen.append(surrogate)
+                            or _Null(ones, ones, ones, ones, 7, clipping_norm=0.5))
+        assert len(seen) == 1 and seen[0].n == 20
+        # the calibration's moments, with the clipping norm of its surrogate
+        assert (got.mean == 1.0).all() and (got.se_variance == 1.0).all()
+        assert seen[0].clipping_norm < 0.5
+        assert (got.replicates, got.clipping_norm) == (7, seen[0].clipping_norm)
         ref = GaussianSurrogate(cov.truncated(19), 20)
         assert seen[0]._k == ref._k
-        np.testing.assert_array_equal(seen[0]._factor, ref._factor)
+        np.testing.assert_array_equal(seen[0]._factor_rows, ref._factor_rows)
 
 
 class TestPValues:
@@ -592,6 +603,31 @@ class TestPValues:
     @given(st.floats(0, 30), st.floats(0.01, 5))
     def test_monotone_property(self, z, dz):
         assert two_sided_p_value(z + dz) < two_sided_p_value(z)
+
+
+class TestDecide:
+    def test_array_matches_scalar_calls_bit_for_bit(self):
+        # the harness's (M,) call and run_test's M = 1 calls give the same bits
+        gen = RngStream(131).generator()
+        m = 64
+        stats = 8.0 + gen.standard_normal(m)
+        null = _Null(8.0 + 0.1 * gen.standard_normal(m), gen.uniform(0.05, 0.2, m),
+                     np.zeros(m), np.zeros(m))
+        z, p = _decide(stats, null)
+        for i in range(m):
+            one = NullMoments(float(null.mean[i]), float(null.variance[i]),
+                              MomentSource.IID_CLOSED_FORM)
+            zi, pi = _decide(float(stats[i]), one)
+            assert type(pi) is float
+            assert (float(z[i]).hex(), float(p[i]).hex()) == (float(zi).hex(), pi.hex())
+
+    def test_nan_statistic_or_null_gives_nan(self):
+        stats = np.array([8.2, np.nan, 8.2, 8.2])
+        null = _Null(np.array([8.0, 8.0, np.nan, 8.0]), np.array([0.1, 0.1, 0.1, np.nan]),
+                     np.zeros(4), np.zeros(4))
+        z, p = _decide(stats, null)
+        assert np.isfinite(z[0]) and 0.0 < p[0] < 1.0
+        assert np.isnan(z[1:]).all() and np.isnan(p[1:]).all()
 
 
 class TestRunTest:
