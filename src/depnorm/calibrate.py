@@ -16,11 +16,12 @@ its M projections.
 Every Monte Carlo draw runs through one pipeline, :func:`_draw_reduced`,
 which lays the replicates of (RNG stream, count) segments end to end and
 transforms (:func:`_transform_slab`) and reduces them in slabs of ``_SLAB``
-complex draws, as tasks on :func:`_run_tasks`. :func:`calibrate_null` has
-one segment per chunk of ``_CHUNK`` replicates, each from its own RNG
-substream; the study harness has one segment of all its replicates. Each
-task writes its own rows of preallocated moments, so the result is the
-same bit for bit on any number of CPUs.
+complex draws, one step per slab of the tasks that the threads of
+:func:`_run_tasks` take in turn. :func:`calibrate_null` has one segment per
+chunk of ``_CHUNK`` replicates, each from its own RNG substream; the study
+harness has one segment of all its replicates. Each step writes its own
+rows of preallocated moments, so the result is the same bit for bit on any
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ import logging
 import math
 import os
 import threading
-from collections import deque
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import accumulate
@@ -72,10 +71,6 @@ _MAX_WORKERS = 2
 # Complex draws transformed and reduced at once, 2 * _SLAB replicates; fixed
 # so a draw's temporaries do not grow with its replicate count.
 _SLAB = 16
-
-# Tasks _run_tasks holds taken and not yet done; fixed so the slabs drawn
-# ahead do not grow with the replicate count or the CPU count.
-_IN_FLIGHT = 4
 
 # Bases whose (block, R) statistics kurtosis._projected_kurtosis forms at
 # once; fixed so peak memory does not grow with M. Their values, and so their
@@ -203,48 +198,45 @@ def simulate_gaussian_batch(surrogate: GaussianSurrogate, rng: RngStream,
     return out
 
 
-def _run_tasks(tasks: Iterable[Callable[[], None]]) -> None:
-    """Run the zero-argument callables of the iterator ``tasks``, taken in
-    order on the calling thread, on it and ``min(CPUs, _MAX_WORKERS) - 1``
-    pool workers, with at most ``_IN_FLIGHT`` taken and not yet done. A
-    failed task stops the run with its error."""
-    workers = min(_usable_cpus(), _MAX_WORKERS) - 1
-    if workers == 0:
-        for task in tasks:
-            task()
-        return
+def _run_tasks(tasks: Iterable[Iterable[Callable[[], None]]]) -> None:
+    """Run the tasks of the iterator ``tasks``, each an iterable of
+    zero-argument steps run in order, on the calling thread and
+    ``min(CPUs, _MAX_WORKERS) - 1`` more. A thread takes the next task under
+    one lock, so the tasks are made in order. The first error,
+    ``BaseException`` included, stops every thread before its next step and
+    is raised here once all have ended."""
+    tasks = iter(tasks)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
 
-    # (future, task), oldest first. When _IN_FLIGHT tasks wait, the caller
-    # runs one no worker has started rather than wait for a slot, so the
-    # threads never outnumber the CPUs.
-    in_flight: deque = deque()
+    def run_next() -> bool:
+        # take a task and run its steps in this call, so that neither the
+        # task nor its last step outlives it while the next task is made
+        with lock:
+            task = next(tasks, None)
+        if task is None:
+            return False
+        for step in task:
+            if errors:
+                return False
+            step()
+        return True
 
-    def settle(room: int) -> None:
-        # leave at most `room` tasks in flight, raising a worker's error
-        while in_flight:
-            if in_flight[0][0].done():
-                in_flight.popleft()[0].result()
-            elif len(in_flight) <= room:
-                return
-            else:
-                for i in reversed(range(len(in_flight))):
-                    future, task = in_flight[i]
-                    if future.cancel():
-                        del in_flight[i]
-                        task()
-                        break
-                else:
-                    in_flight[0][0].result()
-
-    with ThreadPoolExecutor(workers) as pool:
+    def work() -> None:
         try:
-            for task in tasks:
-                settle(_IN_FLIGHT - 1)
-                in_flight.append((pool.submit(task), task))
-            settle(0)
-        finally:
-            for future, _ in in_flight:
-                future.cancel()
+            while not errors and run_next():
+                pass
+        except BaseException as err:
+            errors.append(err)
+
+    threads = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), _MAX_WORKERS) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _draw_reduced(surrogate: GaussianSurrogate, segments: list[tuple[RngStream, int]],
@@ -253,18 +245,19 @@ def _draw_reduced(surrogate: GaussianSurrogate, segments: list[tuple[RngStream, 
     ``segments``, ``simulate_gaussian_batch(surrogate, stream, count)`` laid
     end to end, bit for bit, without forming a batch.
 
-    A segment's real normals, (count/2, K, p), are drawn before its first
-    slab. One segment, the study harness's draw, has one :func:`_run_tasks`
-    task per slab, which transforms the slab and reduces it into its rows;
-    the caller draws the real normals while the pool idles, and the peak
-    grows with the count: at N=1000, p=3 it is about 25, 37 and 62 MB at
-    count 500, 1000 and 2000 (tracemalloc), of which the real normals are
-    12, 24 and 48 MB. Several segments, :func:`calibrate_null`'s chunks,
-    have one task per segment, which draws the segment's normals and
-    transforms and reduces its slabs in order, so each thread draws too and
-    holds one chunk's normals. A failed segment sets an event that stops
-    the others before their next slab. A harness that drew its replicates
-    in such chunks would take this path as well."""
+    Each slab is one :func:`_run_tasks` step, which transforms the slab and
+    reduces it into its rows; a segment's real normals, (count/2, K, p), are
+    drawn before its first slab. The two cases differ only in what one task
+    is. One segment, the study harness's draw, has one task per slab, made
+    under the runner's lock, so the thread that takes the first draws all
+    the real normals while the others wait, and the peak grows with the
+    count: at N=1000, p=3 it is about 22, 34 and 58 MB at count 500, 1000
+    and 2000 (tracemalloc), of which the real normals are 12, 24 and 48 MB.
+    Several segments, :func:`calibrate_null`'s chunks, have one task per
+    segment, its slabs in order, so each thread draws its own chunk's
+    normals outside the lock and holds one chunk's normals at a time. A
+    harness that drew its replicates in such chunks would take this path as
+    well."""
     counts = [count for _, count in segments]
     moments = _empty_moments(sum(counts), surrogate.p)
 
@@ -279,22 +272,10 @@ def _draw_reduced(surrogate: GaussianSurrogate, segments: list[tuple[RngStream, 
             yield partial(reduce_slab, rows, real, imag)
 
     if len(segments) == 1:
-        _run_tasks(slabs(0, *segments[0]))
-        return moments
-    failed = threading.Event()
-
-    def reduce_segment(offset: int, rng: RngStream, count: int) -> None:
-        try:
-            for task in slabs(offset, rng, count):
-                if failed.is_set():
-                    return
-                task()
-        except BaseException:
-            failed.set()
-            raise
-
-    _run_tasks(partial(reduce_segment, offset, *segment)
-               for offset, segment in zip(accumulate(counts, initial=0), segments))
+        _run_tasks([slab] for slab in slabs(0, *segments[0]))
+    else:
+        _run_tasks(slabs(offset, *segment)
+                   for offset, segment in zip(accumulate(counts, initial=0), segments))
     return moments
 
 

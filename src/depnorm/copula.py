@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import RngStream, TimeSeriesSample
+from .core import RngStream, TimeSeriesSample, _check_counts
 
 __all__ = [
     "ArchimedeanFamily",
@@ -92,10 +92,11 @@ class GeneratorConfig:
     temporal_coloring: bool = True
 
     def __post_init__(self) -> None:
+        _check_counts(self)
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        if self.n < 1:
-            raise ValueError("N must be >= 1")
+        if self.n < 2:
+            raise ValueError("N must be >= 2")
         if self.n_drop < 0:
             raise ValueError("n_drop must be >= 0")
         if not abs(self.ar_coefficient) < 1.0:

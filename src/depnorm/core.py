@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -258,8 +259,8 @@ _SMOOTH = 2310**64
 def next_fast_len(target: int) -> int:
     """The smallest 11-smooth integer >= ``target`` >= 1, a length whose FFT
     factors into radices 2 to 11: ``scipy.fft.next_fast_len(target)``
-    without importing ``scipy.fft``."""
-    n = target
+    without importing ``scipy.fft``, for a Python or numpy integer."""
+    n = operator.index(target)
     while _SMOOTH % n:
         n += 1
     return n

@@ -2,7 +2,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -28,8 +27,8 @@ from depnorm import (
     sample_cross_covariance,
     simulate_gaussian_batch,
 )
-from depnorm.calibrate import (_BASIS_BLOCK, _CHUNK, _IN_FLIGHT, _MAX_WORKERS, _SLAB,
-                               _draw_reduced, _replicate_moments, _transform_slab)
+from depnorm.calibrate import (_BASIS_BLOCK, _CHUNK, _MAX_WORKERS, _SLAB, _draw_reduced,
+                               _normal_draws, _replicate_moments, _transform_slab)
 from depnorm.kurtosis import _fourth_moments, _projected_kurtosis
 from depnorm.projection import sample_direction, sample_plane
 from reference import direct_gaussian_batch, direct_kurtosis, moments_with_errors
@@ -163,10 +162,14 @@ class TestSurrogate:
             GaussianSurrogate(CovarianceSequence(lags), 100)
 
     def test_deterministic(self):
-        sur = GaussianSurrogate(_ar1_cov(0.5, 20), 300)
+        # a numpy-integer length builds the same surrogate
+        cov = _ar1_cov(0.5, 20)
+        sur = GaussianSurrogate(cov, 300)
         a = TimeSeriesSample(simulate_gaussian_batch(sur, RngStream(13), 1)[0])
         b = TimeSeriesSample(simulate_gaussian_batch(sur, RngStream(13), 1)[0])
         np.testing.assert_array_equal(a.data, b.data)
+        c = simulate_gaussian_batch(GaussianSurrogate(cov, np.int64(300)), RngStream(13), 1)
+        assert c.tobytes() == a.data.tobytes()
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("count", [1, 2, 2 * _SLAB - 1, 2 * _SLAB, 2 * _SLAB + 1, 257, 500])
@@ -397,9 +400,9 @@ class TestDrawReduced:
 
     @pytest.mark.parametrize("caller", ["calibrate_null", "run_experiment"])
     def test_failed_slab_stops_the_draw(self, monkeypatch, caller):
-        # the error reaches the caller without waiting for a free slot, the
-        # draw stops within the in-flight bound short of its 63 slabs, and
-        # the pool's threads end
+        # the error reaches the caller, the draw stops short of its 63 slabs
+        # with at most one more slab in flight per thread, and the threads
+        # end
         calls = []
 
         def failing(*args):
@@ -432,22 +435,22 @@ class TestDrawReduced:
         runner.join(timeout=60)
         assert not runner.is_alive()
         assert [str(err) for err in errors] == ["slab transform failed"]
-        assert 3 <= len(calls) <= 3 + _IN_FLIGHT < 2000 // (2 * _SLAB)
+        assert 3 <= len(calls) <= 3 + _MAX_WORKERS < 2000 // (2 * _SLAB)
         assert threading.active_count() == before
 
     def test_failed_segment_stops_the_other_segments(self, monkeypatch):
-        # one task per segment: the second of eight calibrate_null chunks
-        # fails at its first slab, which runs on the pool worker while the
-        # caller runs a later chunk; the error reaches the caller, and the
-        # running and queued segments stop before their next slab, short of
-        # the 8 slabs a segment has
+        # one task per segment of eight calibrate_null chunks: the first
+        # slab that the other thread runs fails while the caller runs
+        # another chunk; the error reaches the caller, and the running
+        # segments stop before their next slab, short of the 8 slabs a
+        # segment has, and the waiting ones are not taken
         segments = [(RngStream(97).substream(i), _CHUNK) for i in range(8)]
-        second = segments[1][0].generator().standard_normal()
         calls, failed = [], []
 
         def failing(surrogate, real, imag, out):
-            calls.append(threading.current_thread())
-            if real[0, 0, 0] == second:
+            thread = threading.current_thread()
+            calls.append(thread)
+            if thread is not runner and not failed:
                 failed.append(len(calls))
                 raise RuntimeError("segment transform failed")
             return _transform_slab(surrogate, real, imag, out)
@@ -470,7 +473,7 @@ class TestDrawReduced:
         assert not runner.is_alive()
         assert [str(err) for err in errors] == ["segment transform failed"]
         assert len(failed) == 1 and calls[failed[0] - 1] is not runner
-        assert len(calls) - failed[0] <= 3 + _IN_FLIGHT < _CHUNK // (2 * _SLAB)
+        assert len(calls) - failed[0] <= 3 + _MAX_WORKERS < _CHUNK // (2 * _SLAB)
         assert threading.active_count() == before
 
     def test_calibration_peak_does_not_grow_with_replicates(self, monkeypatch):
@@ -495,21 +498,67 @@ class TestRunTasks:
     @pytest.mark.parametrize("caller", ["calibrate_null", "draw_reduced"])
     @pytest.mark.parametrize("cpus, sizes", [(1, []), (2, [1]), (8, [_MAX_WORKERS - 1])])
     def test_pool_size(self, monkeypatch, cpus, sizes, caller):
-        # both draws run on _run_tasks, whose caller is one of the threads:
-        # the pool has one worker fewer than the usable CPUs, capped by
-        # _MAX_WORKERS, and none on one CPU
-        made = []
+        # both draws make one _run_tasks call, whose caller is one of the
+        # threads: it starts one thread fewer than the usable CPUs, capped by
+        # _MAX_WORKERS, and none on one CPU; only those threads run slabs,
+        # and all have ended when the draw returns
+        made, ran = [], set()
 
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers)
+        class Recording(threading.Thread):
+            def start(self):
+                made.append(self)
+                super().start()
 
-        monkeypatch.setattr("depnorm.calibrate.ThreadPoolExecutor", Recording)
+        def recording(*args):
+            ran.add(threading.current_thread())
+            return _transform_slab(*args)
+
+        monkeypatch.setattr(threading, "Thread", Recording)
+        monkeypatch.setattr("depnorm.calibrate._transform_slab", recording)
         monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: cpus)
         sur = _var1_surrogate(2, 10)
         if caller == "calibrate_null":
             calibrate_null(sur, CalibrationBudget(replicates=2000, seed=RngStream(79)))
         else:
             _draw_reduced(sur, [(RngStream(89), 200)])
-        assert made == sizes
+        assert ([len(made)] if made else []) == sizes
+        assert ran <= {threading.current_thread(), *made}
+        assert not any(thread.is_alive() for thread in made)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("counts", [pytest.param((500,), id="one"),
+                                        pytest.param((_CHUNK,) * 4, id="several")])
+    def test_failed_draw_reaches_the_caller(self, monkeypatch, error, counts):
+        # every segment's normals fail at its third slab: for one segment
+        # while a thread takes its next task under the lock, for several in
+        # the task a thread runs. Any error, KeyboardInterrupt included,
+        # reaches the caller, no thread leaves it unhandled, and the threads
+        # end
+        def failing(*args):
+            for i, slab in enumerate(_normal_draws(*args)):
+                if i == 2:
+                    raise error("normal draw failed")
+                yield slab
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        monkeypatch.setattr("depnorm.calibrate._normal_draws", failing)
+        monkeypatch.setattr("depnorm.calibrate._usable_cpus", lambda: 2)
+        sur = _var1_surrogate(2, 10)
+        segments = [(RngStream(101).substream(i), count) for i, count in enumerate(counts)]
+        before = threading.active_count()
+        errors = []
+
+        def run():
+            try:
+                _draw_reduced(sur, segments)
+            except BaseException as err:
+                errors.append(err)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert [(type(err), str(err)) for err in errors] == [(error, "normal draw failed")]
+        assert unhandled == []
+        assert threading.active_count() == before

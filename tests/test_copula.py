@@ -262,3 +262,12 @@ class TestGenerate:
             GeneratorConfig(GUMBEL5, 2, 100, ar_coefficient=1.0)
         with pytest.raises(ValueError):
             GeneratorConfig(GUMBEL5, 2, 100, n_drop=-1)
+        # counts of the wrong type fail here, not inside the draw, and one
+        # value is no series
+        for bad, field in [((2, 1000.0), "n"), ((True, 1000), "p"),
+                           ((2, 1000, 0.8, True), "n_drop")]:
+            with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
+                GeneratorConfig(GUMBEL5, *bad)
+        with pytest.raises(ValueError, match="N must be >= 2"):
+            GeneratorConfig(GUMBEL5, 2, 1)
+        assert generate(GeneratorConfig(GUMBEL5, 2, 2), RngStream(5)).n == 2

@@ -136,6 +136,9 @@ class TestCrossCovariance:
 
         targets = range(1, 10**5 + 1)
         assert [next_fast_len(t) for t in targets] == [scipy_next_fast_len(t) for t in targets]
+        # numpy integers, such as a length read off an array's shape
+        for t in (np.int64(2000), np.int32(1999), np.uint16(151)):
+            assert next_fast_len(t) == scipy_next_fast_len(t)
 
     def test_invalid_lag(self):
         x = TimeSeriesSample([[1.0, 2.0, 3.0]])
